@@ -431,4 +431,7 @@ let client_cmd =
 let () =
   let doc = "fault-tolerant divisible-load allocation daemon" in
   let info = Cmd.info "dls_daemond" ~version:"%%VERSION%%" ~doc in
+  (* A client that hangs up mid-reply must cost its connection (the
+     server closes it on EPIPE), not the daemon. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   exit (Cmd.eval (Cmd.group info [ serve_cmd; client_cmd ]))

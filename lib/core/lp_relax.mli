@@ -131,8 +131,13 @@ module Incremental : sig
 
   val solve : ?max_iterations:int -> handle -> float outcome
   (** Re-optimize under the current pins.  The first call is a cold
-      start; later calls warm-start (with automatic cold fallback when
-      the carried basis went stale). *)
+      start; later calls warm-start.  A pin or a capacity cut usually
+      makes the carried basis primal infeasible while keeping it dual
+      feasible; the default dense core repairs it with a few dual
+      simplex pivots, and falls back to a cold start only when it
+      cannot (singular basis, not dual feasible, or numerical trouble).
+      The sparse core restarts cold from every primal-infeasible
+      basis. *)
 
   val counters : handle -> Dls_lp.Revised_simplex.counters
   (** Cumulative solver instrumentation for this handle. *)

@@ -107,6 +107,10 @@ let run ?(mode = Closed) ?(budget_ms = 2000.0) ?(timeout = 10.0)
     ?(mutate_every = 0) ~addr ~seed ~clients ~duration_s ~k () =
   if clients < 1 then invalid_arg "Load.run: clients must be >= 1";
   if k < 1 then invalid_arg "Load.run: k must be >= 1";
+  (* A write to a connection the server already closed (reaped, or a
+     crash drill) must raise EPIPE, which [round_trip] counts as an IO
+     error, instead of killing the whole process by SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let deadline = Unix.gettimeofday () +. duration_s in
   let agg_lock = Mutex.create () in
   let accs = ref [] in

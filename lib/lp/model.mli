@@ -107,9 +107,12 @@ module Float : sig
 
   val inc_solve : ?max_iterations:int -> incremental -> result
   (** Re-optimize: the first call is a cold start, later calls
-      warm-start from the previous optimal basis (with automatic
-      fallback to a cold start when that basis is stale — singular or
-      infeasible after the edits). *)
+      warm-start from the previous optimal basis.  On the dense core a
+      basis the edits made primal infeasible is repaired by a dual
+      simplex phase; the solve falls back to a cold start when the
+      basis is singular or the dual phase cannot repair it.  The sparse
+      core restarts cold from every primal-infeasible basis (see
+      {!Revised_simplex}). *)
 
   val inc_counters : incremental -> Revised_simplex.counters
   (** Cumulative solver instrumentation for this handle. *)

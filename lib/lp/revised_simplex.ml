@@ -48,6 +48,8 @@ let m_reinversions = M.counter "lp.reinversions"
 let m_bland_activations = M.counter "lp.bland_activations"
 let m_solve_seconds = M.histogram "lp.solve_seconds"
 let m_solve_pivots = M.histogram "lp.solve_pivots"
+let m_dual_pivots = M.counter "lp.dual_pivots"
+let m_dual_fallbacks = M.counter "lp.dual_fallbacks"
 
 (* Eta matrix of one pivot: identity with column [row] replaced by the
    (sparse) transformed entering column; [pivot] is that column's entry
@@ -60,6 +62,7 @@ type eta = {
 }
 
 let dtol = 1e-7  (* reduced-cost / pivot significance threshold *)
+let ptol = 1e-6  (* basic values this little below zero count as zero *)
 let drop_tol = 1e-12  (* entries below this are not stored in etas *)
 let refactor_interval = 100
 
@@ -134,6 +137,11 @@ let pack_eta row w m =
     end
   done;
   { row; pivot = w.(row); idx; value }
+
+let clamp_round_off st =
+  for i = 0 to st.m - 1 do
+    if st.x_basic.(i) < 0.0 && st.x_basic.(i) > -.ptol then st.x_basic.(i) <- 0.0
+  done
 
 (* Rebuild the eta representation for the current basis set from
    scratch (reinversion), then recompute the basic values.  Returns
@@ -271,9 +279,7 @@ let refactor st =
   (* Recompute basic values x_B = B^-1 b. *)
   Array.blit st.rhs 0 st.x_basic 0 st.m;
   ftran st st.x_basic;
-  for i = 0 to st.m - 1 do
-    if st.x_basic.(i) < 0.0 && st.x_basic.(i) > -1e-6 then st.x_basic.(i) <- 0.0
-  done;
+  clamp_round_off st;
   !ok
 
 let create problem =
@@ -363,19 +369,52 @@ let objective_value st =
   done;
   !z
 
+(* y <- (B^-1)' c_B: the simplex multipliers of the current basis. *)
+let multipliers st y =
+  Array.fill y 0 st.m 0.0;
+  for i = 0 to st.m - 1 do
+    let j = st.basis.(i) in
+    if j < st.n then y.(i) <- st.obj.(j)
+  done;
+  btran st y
+
+(* Row vector [v] times column [j] of [A | I]. *)
+let dot_column st v j =
+  if j < st.n then begin
+    let idx = st.col_idx.(j) and value = st.col_val.(j) in
+    let dot = ref 0.0 in
+    for k = 0 to Array.length idx - 1 do
+      dot := !dot +. (value.(k) *. v.(idx.(k)))
+    done;
+    !dot
+  end
+  else v.(j - st.n)
+
+let reduced_cost st y j =
+  if j < st.n then st.obj.(j) -. dot_column st y j else -.y.(j - st.n)
+
+(* Make column [q], whose transformed column B^-1 a_q is [w], basic in
+   row [r] at value [theta], moving the other basic values along [w]. *)
+let pivot st ~r ~q w theta =
+  for i = 0 to st.m - 1 do
+    if i <> r then st.x_basic.(i) <- st.x_basic.(i) -. (w.(i) *. theta)
+  done;
+  st.x_basic.(r) <- theta;
+  st.in_basis.(st.basis.(r)) <- false;
+  st.in_basis.(q) <- true;
+  st.basis.(r) <- q;
+  st.etas <- pack_eta r w st.m :: st.etas;
+  st.num_etas <- st.num_etas + 1;
+  st.pivot_etas <- st.pivot_etas + 1
+
 (* Primal simplex iterations from the current (primal-feasible) basis:
    Dantzig pricing with a stall-triggered switch to Bland's rule.  The
    pivot budget is a hard termination guarantee even on degenerate LPs:
    exhausting it while Bland's rule is active and the objective has not
    moved since the switch is reported as [Cycling] (a degenerate spin),
    every other exhaustion as [Iteration_limit]. *)
-let optimize ?max_iterations st =
+let optimize ~budget st =
   let total_cols = st.n + st.m in
-  let budget =
-    match max_iterations with
-    | Some b -> b
-    | None -> 2000 + (60 * (st.m + total_cols))
-  in
   let iterations = ref 0 in
   let y = Array.make st.m 0.0 in
   let w = Array.make st.m 0.0 in
@@ -389,28 +428,13 @@ let optimize ?max_iterations st =
     begin
       if st.pivot_etas >= refactor_interval then ignore (refactor st : bool);
       (* Pricing: y = (B^-1)' c_B, then reduced costs per nonbasic column. *)
-      Array.fill y 0 st.m 0.0;
-      for i = 0 to st.m - 1 do
-        let j = st.basis.(i) in
-        if j < st.n then y.(i) <- st.obj.(j)
-      done;
-      btran st y;
-      let reduced j =
-        if j < st.n then begin
-          let idx = st.col_idx.(j) and value = st.col_val.(j) in
-          let dot = ref 0.0 in
-          for k = 0 to Array.length idx - 1 do
-            dot := !dot +. (value.(k) *. y.(idx.(k)))
-          done;
-          st.obj.(j) -. !dot
-        end
-        else -.y.(j - st.n)
-      in
+      multipliers st y;
       let entering = ref (-1) in
       if !bland then begin
         let j = ref 0 in
         while !entering < 0 && !j < total_cols do
-          if (not st.in_basis.(!j)) && reduced !j > dtol then entering := !j;
+          if (not st.in_basis.(!j)) && reduced_cost st y !j > dtol then
+            entering := !j;
           incr j
         done
       end
@@ -418,7 +442,7 @@ let optimize ?max_iterations st =
         let best = ref dtol in
         for j = 0 to total_cols - 1 do
           if not st.in_basis.(j) then begin
-            let d = reduced j in
+            let d = reduced_cost st y j in
             if d > !best then begin
               best := d;
               entering := j
@@ -459,18 +483,7 @@ let optimize ?max_iterations st =
         done;
         if !leave < 0 then result := Some Unbounded
         else begin
-          let r = !leave in
-          let theta = Float.max 0.0 !theta in
-          for i = 0 to st.m - 1 do
-            if i <> r then st.x_basic.(i) <- st.x_basic.(i) -. (w.(i) *. theta)
-          done;
-          st.x_basic.(r) <- theta;
-          st.in_basis.(st.basis.(r)) <- false;
-          st.in_basis.(q) <- true;
-          st.basis.(r) <- q;
-          st.etas <- pack_eta r w st.m :: st.etas;
-          st.num_etas <- st.num_etas + 1;
-          st.pivot_etas <- st.pivot_etas + 1;
+          pivot st ~r:!leave ~q w (Float.max 0.0 !theta);
           incr iterations;
           let z = objective_value st in
           if z > !last_z +. 1e-12 then begin
@@ -499,19 +512,111 @@ let optimize ?max_iterations st =
   let status = match !result with Some s -> s | None -> assert false in
   (status, !iterations)
 
+(* Dual simplex iterations for a warm start whose carried basis went
+   primal infeasible: lowering a right-hand side or deleting a
+   coefficient moves x_B = B^-1 b but leaves every reduced cost of a
+   basis that is still nonsingular as it was (right-hand sides) or
+   close to it (coefficients).  While the basis stays dual feasible
+   (no nonbasic reduced cost above [dtol]), each iteration drops the
+   most negative basic variable and brings in the column the dual
+   ratio test picks, which keeps every reduced cost non-positive; ties
+   go to slack columns, which lands MAXMIN's degenerate optima on
+   vertices that keep more remote work.  Returns the pivots spent and
+   whether the basis is now primal feasible.  [false] sends the caller
+   to a cold start: the basis was not dual feasible, no column could
+   enter (the LP would be infeasible, which a packed LP with b >= 0
+   never is, so this is numerical trouble), a refactorization was
+   singular, or the [budget] ran out. *)
+let dual_phase ~budget st =
+  let total_cols = st.n + st.m in
+  let y = Array.make st.m 0.0 in
+  let rho = Array.make st.m 0.0 in
+  let w = Array.make st.m 0.0 in
+  let pivots = ref 0 in
+  multipliers st y;
+  let dual_feasible = ref true in
+  for j = 0 to total_cols - 1 do
+    if (not st.in_basis.(j)) && reduced_cost st y j > dtol then
+      dual_feasible := false
+  done;
+  let result = ref (if !dual_feasible then None else Some false) in
+  while !result = None do
+    let r = ref (-1) in
+    for i = 0 to st.m - 1 do
+      if st.x_basic.(i) < -.ptol && (!r < 0 || st.x_basic.(i) < st.x_basic.(!r))
+      then r := i
+    done;
+    if !r < 0 then result := Some true
+    else if !pivots >= budget then result := Some false
+    else begin
+      let r = !r in
+      (* Row r of B^-1, then alpha_rj = (B^-1 a_j)_r per nonbasic. *)
+      Array.fill rho 0 st.m 0.0;
+      rho.(r) <- 1.0;
+      btran st rho;
+      let entering = ref (-1) and best = ref infinity in
+      for j = 0 to total_cols - 1 do
+        if not st.in_basis.(j) then begin
+          let alpha = dot_column st rho j in
+          if alpha < -.dtol then begin
+            let ratio = Float.max 0.0 (reduced_cost st y j /. alpha) in
+            if
+              ratio < !best -. 1e-12
+              || (ratio <= !best +. 1e-12 && j >= st.n && !entering < st.n)
+            then begin
+              entering := j;
+              best := ratio
+            end
+          end
+        end
+      done;
+      if !entering < 0 then result := Some false
+      else begin
+        let q = !entering in
+        scatter_column st q w;
+        ftran st w;
+        if w.(r) >= -.dtol then result := Some false
+        else begin
+          pivot st ~r ~q w (st.x_basic.(r) /. w.(r));
+          incr pivots;
+          if st.pivot_etas >= refactor_interval && not (refactor st) then
+            result := Some false
+          else multipliers st y
+        end
+      end
+    end
+  done;
+  if !result = Some true then clamp_round_off st;
+  (!result = Some true, !pivots)
+
 let solve_state ?max_iterations st =
   let t0 = Unix.gettimeofday () in
   let before = st.ctr in
   let sp = Dls_obs.Trace.start ~cat:"lp" "lp.solve" in
-  (* Warm attempt: reinvert the carried basis against the (possibly
-     updated) matrix and right-hand sides; fall back to the all-slack
-     cold start when the basis is singular or no longer primal
-     feasible. *)
-  let warm =
-    st.solved
-    && refactor st
-    && not (Array.exists (fun x -> x < 0.0) st.x_basic)
+  let budget =
+    match max_iterations with
+    | Some b -> b
+    | None -> 2000 + (60 * (2 * st.m + st.n))
   in
+  (* Warm attempt: reinvert the carried basis against the (possibly
+     updated) matrix and right-hand sides.  A primal-feasible basis is
+     re-optimized as is; a primal-infeasible one is first repaired by
+     the dual phase, which shares the pivot budget with the primal
+     cleanup.  A singular basis, or one the dual phase gives up on,
+     falls back to the all-slack cold start with a fresh budget. *)
+  let start, dual_pivots =
+    if not (st.solved && refactor st) then (`Cold, 0)
+    else if not (Array.exists (fun x -> x < 0.0) st.x_basic) then (`Warm, 0)
+    else begin
+      let repaired, pivots =
+        dual_phase ~budget:(Int.min budget (2 * st.m + st.n)) st
+      in
+      M.add m_dual_pivots pivots;
+      if not repaired then M.incr m_dual_fallbacks;
+      ((if repaired then `Dual else `Cold), pivots)
+    end
+  in
+  let warm = start <> `Cold in
   if not warm then reset_cold st;
   st.ctr <-
     { st.ctr with
@@ -520,7 +625,10 @@ let solve_state ?max_iterations st =
       cold_starts = (st.ctr.cold_starts + if warm then 0 else 1) };
   M.incr m_solves;
   M.incr (if warm then m_warm_starts else m_cold_starts);
-  let status, iterations = optimize ?max_iterations st in
+  let status, primal_pivots =
+    optimize ~budget:(if start = `Dual then budget - dual_pivots else budget) st
+  in
+  let iterations = dual_pivots + primal_pivots in
   st.solved <- true;
   let values = Array.make st.n 0.0 in
   let duals = Array.make st.m 0.0 in
@@ -530,11 +638,7 @@ let solve_state ?max_iterations st =
       if j < st.n then values.(j) <- Float.max 0.0 st.x_basic.(i)
     done;
     (* Dual vector y = (B^-1)' c_B at the optimal basis. *)
-    for i = 0 to st.m - 1 do
-      let j = st.basis.(i) in
-      duals.(i) <- (if j < st.n then st.obj.(j) else 0.0)
-    done;
-    btran st duals
+    multipliers st duals
   end;
   let objective =
     Array.fold_left ( +. ) 0.0 (Array.mapi (fun j v -> st.obj.(j) *. v) values)
@@ -547,16 +651,15 @@ let solve_state ?max_iterations st =
   M.add m_pivots iterations;
   M.observe m_solve_seconds dt;
   M.observe m_solve_pivots (float_of_int iterations);
+  let tag =
+    match start with `Cold -> "cold" | `Warm -> "warm" | `Dual -> "dual"
+  in
   if Dls_obs.Trace.live sp then
     Dls_obs.Trace.finish sp
-      ~args:
-        [ ("start", if warm then "warm" else "cold");
-          ("pivots", string_of_int iterations) ];
+      ~args:[ ("start", tag); ("pivots", string_of_int iterations) ];
   Log.debug (fun m ->
-      m "solve #%d (%s): %d pivots, %d reinversions, %.3f ms"
-        st.ctr.solves
-        (if warm then "warm" else "cold")
-        iterations
+      m "solve #%d (%s): %d pivots (%d dual), %d reinversions, %.3f ms"
+        st.ctr.solves tag iterations dual_pivots
         (st.ctr.reinversions - before.reinversions)
         (1e3 *. dt));
   { status; objective; values; duals; iterations }

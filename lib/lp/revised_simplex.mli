@@ -22,13 +22,22 @@
     A {!state} survives across solves: after {!solve_state}, the
     optimal basis is carried, the caller may tighten right-hand sides
     ({!set_rhs}) or delete matrix entries ({!zero_coeff}), and the next
-    {!solve_state} {e warm-starts} — it reinverts the carried basis via
-    the triangularized refactorization and re-optimizes from there,
-    falling back to the cold all-slack start when the carried basis is
-    singular or no longer primal feasible.  LPRR's iterated rounding
-    (one LP per remote route, each differing from the previous by one
-    pinned beta) is the motivating client; see
-    [Dls_core.Lp_relax.Incremental]. *)
+    {!solve_state} {e warm-starts}: it reinverts the carried basis via
+    the triangularized refactorization and re-optimizes from there.
+    Such edits usually leave the basis dual feasible but cut it off
+    primal feasibility (some basic value turns negative).  A dual
+    simplex phase then repairs it: drop the most negative basic
+    variable, pick the entering column by the dual ratio test (ties to
+    slack columns), repeat until primal feasible, and hand the basis to
+    the primal simplex for cleanup.  The solve falls back to the cold
+    all-slack start when the carried basis is singular, is not dual
+    feasible, or the dual phase gives up (no entering column, or its
+    pivot budget ran out: numerical trouble, since a packed LP with
+    [b >= 0] is always feasible).  LPRR's iterated rounding (one LP per
+    remote route, each differing from the previous by one pinned beta)
+    is the motivating client; see [Dls_core.Lp_relax.Incremental].
+    The sparse core ({!Sparse_simplex}) has no dual phase: it restarts
+    cold from every primal-infeasible carried basis. *)
 
 type constr = {
   coeffs : (int * float) list;  (** duplicate indices are summed *)
@@ -79,11 +88,15 @@ type state
 
 type counters = {
   solves : int;  (** calls to {!solve_state} on this state *)
-  warm_starts : int;  (** solves begun from a carried basis *)
+  warm_starts : int;
+  (** solves begun from a carried basis, with or without a dual phase *)
   cold_starts : int;
   (** solves begun from the all-slack basis: the first solve plus every
-      fallback from a singular or primal-infeasible carried basis *)
-  pivots : int;  (** simplex iterations, cumulative *)
+      fallback from a singular carried basis or a primal-infeasible one
+      the dual phase could not repair *)
+  pivots : int;
+  (** simplex iterations, cumulative: primal and dual pivots, including
+      those of a dual phase that gave up *)
   reinversions : int;
   (** basis refactorizations, cumulative (periodic refreshes during a
       solve plus the one opening every warm start) *)
@@ -100,9 +113,16 @@ val create : problem -> state
 val solve_state : ?max_iterations:int -> state -> solution
 (** Optimize the state's current problem.  The first call is a cold
     start; later calls warm-start from the carried basis as described
-    above.  Cumulative {!counters} are updated, and a [dls.lp.revised]
-    debug line is logged per solve (pivots, reinversions, warm/cold
-    tag, wall-clock). *)
+    above.  [max_iterations] caps the pivots as in {!solve}; a dual
+    phase and its primal cleanup share the cap, the dual phase alone
+    stops at [2m + n] pivots, and a cold restart after it gives up
+    gets the whole cap again, so [iterations] then counts both
+    attempts.  Cumulative {!counters} are updated, the registry
+    counts [lp.dual_pivots] and [lp.dual_fallbacks] (primal-infeasible
+    carried bases that went cold), the [lp.solve] span is tagged
+    [start] = [cold], [warm] or [dual], and a [dls.lp.revised] debug
+    line is logged per solve (pivots, dual pivots, reinversions,
+    start tag, wall-clock). *)
 
 val set_rhs : state -> row:int -> float -> unit
 (** Replace a row's right-hand side (rows are indexed in the order they

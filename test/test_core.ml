@@ -346,6 +346,68 @@ let prop_lprr_warm_matches_cold_lps =
                   | Lp_relax.Failed _ -> false)
                 st.Lprr.lp_objectives))
 
+(* Fixed Table-1 platforms at K = 12, drawn as the campaigns draw
+   them. *)
+let table1_k12 seed =
+  Dls_experiments.Measure.sample_problem (Prng.create ~seed) ~k:12
+
+let lprr_k12 seed =
+  let pr = table1_k12 seed in
+  match Lprr.solve ~rng:(Prng.create ~seed:(seed + 1)) pr with
+  | Error msg -> Alcotest.failf "LPRR failed on platform %d: %s" seed msg
+  | Ok st ->
+    Alcotest.(check (list string))
+      (Printf.sprintf "platform %d: allocation passes Eq. 7a-7g" seed)
+      []
+      (List.map
+         (Format.asprintf "%a" Allocation.pp_violation)
+         (Allocation.check pr st.Lprr.allocation));
+    (pr, st)
+
+let test_lprr_k12_few_cold_fallbacks () =
+  (* A pin lowers right-hand sides and deletes the pair's slot
+     charges, which leaves the carried basis dual feasible in nearly
+     every case: the dual phase should
+     repair almost every basis the pin made primal infeasible, so
+     beyond each run's first solve hardly any solve starts cold. *)
+  let solves = ref 0 and fallbacks = ref 0 in
+  List.iter
+    (fun seed ->
+      let _, st = lprr_k12 seed in
+      match st.Lprr.counters with
+      | None -> Alcotest.fail "warm LPRR run without solver counters"
+      | Some c ->
+        solves := !solves + c.Dls_lp.Revised_simplex.solves;
+        fallbacks := !fallbacks + c.Dls_lp.Revised_simplex.cold_starts - 1)
+    (List.init 30 (fun i -> 100 + i));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cold fallbacks in %d solves is at most 5%%" !fallbacks
+       !solves)
+    true
+    (float_of_int !fallbacks <= 0.05 *. float_of_int !solves)
+
+let test_lprr_k12_objectives_match_cold () =
+  (* The per-prefix check of prop_lprr_warm_matches_cold_lps at the
+     campaigns' K, where most warm re-solves go through the dual
+     phase. *)
+  List.iter
+    (fun seed ->
+      let pr, st = lprr_k12 seed in
+      let trace = Array.of_list st.Lprr.pin_trace in
+      let npins = Array.length trace in
+      List.iteri
+        (fun i obj ->
+          let fixed = Array.to_list (Array.sub trace 0 (Stdlib.min i npins)) in
+          match Lp_relax.solve ~fixed pr with
+          | Lp_relax.Failed msg -> Alcotest.failf "cold solve %d: %s" i msg
+          | Lp_relax.Solution cold ->
+            let c = cold.Lp_relax.objective_value in
+            if Float.abs (obj -. c) > 1e-6 *. Float.max 1.0 (Float.abs c) then
+              Alcotest.failf "platform %d, solve %d: warm %.17g, cold %.17g"
+                seed i obj c)
+        st.Lprr.lp_objectives)
+    [ 200; 201; 202 ]
+
 let test_lprr_warm_cold_same_coins () =
   (* Smoke parity check on one platform: warm and cold runs on copied
      coin streams both succeed and both stay feasible. *)
@@ -1102,6 +1164,10 @@ let () =
           Alcotest.test_case "LPRR stats" `Quick test_lprr_stats_bounds;
           Alcotest.test_case "LPRR warm vs cold smoke" `Quick
             test_lprr_warm_cold_same_coins;
+          Alcotest.test_case "LPRR K=12 rarely falls back cold" `Quick
+            test_lprr_k12_few_cold_fallbacks;
+          Alcotest.test_case "LPRR K=12 objectives match cold per prefix"
+            `Quick test_lprr_k12_objectives_match_cold;
           Alcotest.test_case "names" `Quick test_heuristics_names ] );
       qsuite "heuristics-prop"
         [ prop_heuristics_feasible; prop_lp_upper_bounds_heuristics;

@@ -1640,9 +1640,55 @@ let test_worker_crash_drill () =
              = o2.D.Solver.allocation.Dls_core.Allocation.beta))
     [ 1; 4 ]
 
+(* A server that hangs up on every connection: each Load request then
+   meets a peer-closed socket, in its write (EPIPE) or in its read
+   (end of file).  Both must count as IO errors, and the process must
+   survive to check them.  The test starts from the default SIGPIPE
+   disposition, which kills the process, so it fails unless Load.run
+   itself ignores the signal. *)
+let test_load_survives_peer_close () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "hangup.sock" in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 16;
+  let stop = Atomic.make false in
+  let hangup =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match Unix.select [ lfd ] [] [] 0.05 with
+          | [], _, _ -> ()
+          | _ -> (
+            try Unix.close (fst (Unix.accept lfd))
+            with Unix.Unix_error _ -> ())
+        done)
+      ()
+  in
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let stats =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        Atomic.set stop true;
+        Thread.join hangup;
+        Unix.close lfd)
+      (fun () ->
+        D.Load.run ~addr:(Dls_obs.Publish.Unix_sock path) ~seed:3 ~clients:2
+          ~duration_s:0.3 ~k:6 ())
+  in
+  Alcotest.(check int) "no replies" 0 stats.D.Load.ok;
+  Alcotest.(check bool) "IO errors recorded" true (stats.D.Load.errors > 0);
+  Alcotest.(check int) "every request failed" stats.D.Load.sent
+    stats.D.Load.errors
+
 (* ------------------------------------------------------------------ *)
 
 let () =
+  (* Tests write to sockets the server may already have closed (crash
+     drills, reaped clients): that must be an EPIPE error, not death by
+     SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "dls_daemon"
     [ ( "framing",
         [ Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
@@ -1712,4 +1758,7 @@ let () =
       ( "workers",
         [ Alcotest.test_case "soak at 1 and 4 workers" `Slow test_worker_soak;
           Alcotest.test_case "crash drill replays deterministically" `Slow
-            test_worker_crash_drill ] ) ]
+            test_worker_crash_drill ] );
+      ( "load",
+        [ Alcotest.test_case "survives a peer-closed socket" `Quick
+            test_load_survives_peer_close ] ) ]

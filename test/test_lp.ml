@@ -665,8 +665,8 @@ let test_warm_relax_nonbinding () =
   Alcotest.(check bool) "wall clock advances" true (seconds.Obs.hs_sum > 0.0)
 
 let test_warm_tighten_rhs () =
-  (* Tightening may invalidate the carried basis (automatic cold
-     fallback) — either way the optimum must match a from-scratch
+  (* Tightening a binding row: the carried basis stays primal feasible
+     (degenerate), so the re-solve is warm and matches a from-scratch
      solve of the updated program. *)
   with_registry @@ fun () ->
   let st = Rs.create (textbook_problem 4.0 12.0 18.0) in
@@ -676,13 +676,117 @@ let test_warm_tighten_rhs () =
   (* Two state solves so far; the from-scratch control below adds a
      third, so read the registry window here. *)
   Alcotest.(check int) "solves" 2 (registry_counter "lp.solves");
-  Alcotest.(check int) "every solve tagged" 2
-    (registry_counter "lp.warm_starts" + registry_counter "lp.cold_starts");
+  Alcotest.(check int) "only the first solve is cold" 1
+    (registry_counter "lp.cold_starts");
+  Alcotest.(check int) "re-solve is warm" 1 (registry_counter "lp.warm_starts");
   let cold = Rs.solve (textbook_problem 4.0 6.0 18.0) in
   check_float "warm matches cold" cold.Rs.objective s2.Rs.objective;
   check_float "objective" 27.0 s2.Rs.objective;
   Alcotest.(check int) "control solve also counted" 3
     (registry_counter "lp.solves")
+
+let test_warm_dual_phase () =
+  (* x <= 1 cuts the carried optimum (x = 2, y = 6): its basis now puts
+     row 0's slack at 1 - 2 = -1 but keeps every reduced cost, so the
+     dual phase repairs it instead of restarting cold. *)
+  with_registry @@ fun () ->
+  let st = Rs.create (textbook_problem 4.0 12.0 18.0) in
+  ignore (Rs.solve_state st);
+  Rs.set_rhs st ~row:0 1.0;
+  let s2 = Rs.solve_state st in
+  Alcotest.(check bool) "optimal" true (s2.Rs.status = Rs.Optimal);
+  check_float "objective" 33.0 s2.Rs.objective;
+  check_float "x" 1.0 s2.Rs.values.(0);
+  check_float "y" 6.0 s2.Rs.values.(1);
+  Alcotest.(check int) "only the first solve is cold" 1
+    (registry_counter "lp.cold_starts");
+  Alcotest.(check int) "re-solve is warm" 1 (registry_counter "lp.warm_starts");
+  Alcotest.(check int) "no fallback" 0 (registry_counter "lp.dual_fallbacks");
+  Alcotest.(check int) "one dual pivot" 1 (registry_counter "lp.dual_pivots");
+  check_float "matches cold" (Rs.solve (textbook_problem 1.0 12.0 18.0)).Rs.objective
+    s2.Rs.objective
+
+(* max x + 3y s.t. 2y <= 3, 3x <= 3, 3x + 2y <= 6: solved at x = 1,
+   y = 1.5, then rows 1 and 2 lowered to 1. *)
+let dual_budget_case () =
+  let problem row1 row2 =
+    { Rs.num_vars = 2;
+      maximize = [ (0, 1.0); (1, 3.0) ];
+      rows =
+        [ { Rs.coeffs = [ (1, 2.0) ]; rhs = 3.0 };
+          { Rs.coeffs = [ (0, 3.0) ]; rhs = row1 };
+          { Rs.coeffs = [ (1, 2.0); (0, 3.0) ]; rhs = row2 } ] }
+  in
+  let st = Rs.create (problem 3.0 6.0) in
+  check_float "first solve" 5.5 (Rs.solve_state st).Rs.objective;
+  Rs.set_rhs st ~row:1 1.0;
+  Rs.set_rhs st ~row:2 1.0;
+  (st, problem 1.0 1.0)
+
+let test_dual_gives_up_falls_back_cold () =
+  (* The carried basis needs two dual pivots; a cold start reaches the
+     optimum (y = 0.5) in one.  Under a one-pivot budget the dual phase
+     gives up, and the cold restart, which gets the budget afresh, must
+     still return the cold optimum. *)
+  let reference =
+    let _, updated = dual_budget_case () in
+    Rs.solve updated
+  in
+  Alcotest.(check int) "cold start needs one pivot" 1 reference.Rs.iterations;
+  check_float "cold optimum" 1.5 reference.Rs.objective;
+  (with_registry @@ fun () ->
+   let st, _ = dual_budget_case () in
+   let s = Rs.solve_state st in
+   check_float "uncapped: dual phase reaches the optimum" 1.5 s.Rs.objective;
+   Alcotest.(check int) "uncapped: two dual pivots" 2
+     (registry_counter "lp.dual_pivots");
+   Alcotest.(check int) "uncapped: no fallback" 0
+     (registry_counter "lp.dual_fallbacks"));
+  with_registry @@ fun () ->
+  let st, _ = dual_budget_case () in
+  let s = Rs.solve_state ~max_iterations:1 st in
+  Alcotest.(check bool) "capped: optimal" true (s.Rs.status = Rs.Optimal);
+  check_float "capped: cold optimum" reference.Rs.objective s.Rs.objective;
+  Alcotest.(check int) "capped: one fallback" 1
+    (registry_counter "lp.dual_fallbacks");
+  Alcotest.(check int) "capped: the dual pivot spent" 1
+    (registry_counter "lp.dual_pivots");
+  Alcotest.(check int) "capped: both solves cold" 2
+    (registry_counter "lp.cold_starts");
+  Alcotest.(check int) "capped: pivots include the wasted one" 2
+    s.Rs.iterations;
+  Alcotest.(check int) "state record: both cold" 2
+    (Rs.counters st).Rs.cold_starts
+
+let test_dual_infeasible_basis_falls_back_cold () =
+  (* max 3x + 5y + z s.t. x <= 4, 2y <= 12, 3x + 2y + 4z <= 18,
+     z <= 5: optimum x = 2, y = 6 with z nonbasic at reduced cost -3.
+     Deleting z's coefficient from row 2 raises that reduced cost to
+     1, and x <= 1 drives row 0's slack negative: the carried basis is
+     neither primal nor dual feasible, so no dual pivot is tried. *)
+  with_registry @@ fun () ->
+  let rows rhs0 z2 =
+    [ { Rs.coeffs = [ (0, 1.0) ]; rhs = rhs0 };
+      { Rs.coeffs = [ (1, 2.0) ]; rhs = 12.0 };
+      { Rs.coeffs = [ (0, 3.0); (1, 2.0); (2, z2) ]; rhs = 18.0 };
+      { Rs.coeffs = [ (2, 1.0) ]; rhs = 5.0 } ]
+  in
+  let problem rhs0 z2 =
+    { Rs.num_vars = 3;
+      maximize = [ (0, 3.0); (1, 5.0); (2, 1.0) ];
+      rows = rows rhs0 z2 }
+  in
+  let st = Rs.create (problem 4.0 4.0) in
+  check_float "first solve" 36.0 (Rs.solve_state st).Rs.objective;
+  Rs.zero_coeff st ~row:2 ~var:2;
+  Rs.set_rhs st ~row:0 1.0;
+  let s = Rs.solve_state st in
+  Alcotest.(check int) "one fallback" 1 (registry_counter "lp.dual_fallbacks");
+  Alcotest.(check int) "no dual pivot" 0 (registry_counter "lp.dual_pivots");
+  Alcotest.(check int) "cold restart" 2 (registry_counter "lp.cold_starts");
+  check_float "objective" 38.0 s.Rs.objective;
+  check_float "matches cold" (Rs.solve (problem 1.0 0.0)).Rs.objective
+    s.Rs.objective
 
 let test_warm_zero_coeff () =
   let st = Rs.create (textbook_problem 4.0 12.0 18.0) in
@@ -844,6 +948,65 @@ let prop_warm_matches_cold_after_tightening =
       | Rs.Unbounded, Rs.Unbounded -> true
       | _ -> false)
 
+let prop_warm_pin_edit_matches_cold =
+  (* LPRR's pin edit in miniature: solve, delete one variable's
+     coefficient from some rows and lower every right-hand side, then
+     re-solve the same state.  Every warm result (dual phase, primal
+     cleanup or cold fallback) must equal a from-scratch solve.  Over a
+     batch the warm re-solves must also cost no more pivots than the
+     cold ones; a single program may, when a fallback or a long primal
+     cleanup loses to a lucky cold start (about 1 in 100). *)
+  let case =
+    let open QCheck2.Gen in
+    let* ((nv, _, rows) as lp) = packed_lp_gen in
+    let* var = int_range 0 (nv - 1) in
+    let* edits = list_repeat (List.length rows) (pair bool (int_range 0 10)) in
+    return (lp, var, edits)
+  in
+  QCheck2.Test.make
+    ~name:"warm re-solve after pin edits equals cold, in no more pivots"
+    ~count:30
+    (QCheck2.Gen.list_repeat 40 case)
+    (fun cases ->
+      let warm_pivots = ref 0 and cold_pivots = ref 0 in
+      let agree ((nv, obj, rows), var, edits) =
+        let objf = List.map (fun (v, c) -> (v, float_of_int c)) obj in
+        let row (terms, rhs) =
+          { Rs.coeffs = List.map (fun (v, c) -> (v, float_of_int c)) terms;
+            rhs = float_of_int rhs }
+        in
+        let st =
+          Rs.create
+            { Rs.num_vars = nv; maximize = objf; rows = List.map row rows }
+        in
+        ignore (Rs.solve_state st);
+        let edited =
+          List.mapi
+            (fun i ((terms, rhs), (drop, tenths)) ->
+              let rhs = float_of_int rhs *. float_of_int tenths /. 10.0 in
+              if drop then Rs.zero_coeff st ~row:i ~var;
+              Rs.set_rhs st ~row:i rhs;
+              let r = row (terms, 0) in
+              { Rs.coeffs =
+                  (if drop then List.filter (fun (v, _) -> v <> var) r.Rs.coeffs
+                   else r.Rs.coeffs);
+                rhs })
+            (List.combine rows edits)
+        in
+        let warm = Rs.solve_state st in
+        let cold =
+          Rs.solve { Rs.num_vars = nv; maximize = objf; rows = edited }
+        in
+        match (warm.Rs.status, cold.Rs.status) with
+        | Rs.Optimal, Rs.Optimal ->
+          warm_pivots := !warm_pivots + warm.Rs.iterations;
+          cold_pivots := !cold_pivots + cold.Rs.iterations;
+          Float.abs (warm.Rs.objective -. cold.Rs.objective) < 1e-6
+        | Rs.Unbounded, Rs.Unbounded -> true
+        | _ -> false
+      in
+      List.for_all agree cases && !warm_pivots <= !cold_pivots)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -885,6 +1048,12 @@ let () =
         [ Alcotest.test_case "relax non-binding row" `Quick
             test_warm_relax_nonbinding;
           Alcotest.test_case "tighten rhs" `Quick test_warm_tighten_rhs;
+          Alcotest.test_case "dual phase repairs a cut basis" `Quick
+            test_warm_dual_phase;
+          Alcotest.test_case "dual phase out of budget falls back cold" `Quick
+            test_dual_gives_up_falls_back_cold;
+          Alcotest.test_case "dual-infeasible basis falls back cold" `Quick
+            test_dual_infeasible_basis_falls_back_cold;
           Alcotest.test_case "zero coefficient" `Quick test_warm_zero_coeff;
           Alcotest.test_case "registry reset between warm re-solves" `Quick
             test_registry_reset_between_warm_resolves;
@@ -901,4 +1070,5 @@ let () =
           prop_revised_matches_dense; prop_revised_solution_feasible;
           prop_dense_strong_duality; prop_dense_dual_signs;
           prop_exact_strong_duality; prop_revised_strong_duality;
-          prop_warm_matches_cold_after_tightening ] ]
+          prop_warm_matches_cold_after_tightening;
+          prop_warm_pin_edit_matches_cold ] ]
