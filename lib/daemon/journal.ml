@@ -10,8 +10,6 @@ type t = {
   mutable seq : int;  (* next sequence number to append *)
 }
 
-let manifest_path path = path ^ ".manifest"
-
 let record_to_line ~seq m =
   match Protocol.mutation_to_json m with
   | J.Obj fields ->
@@ -20,51 +18,26 @@ let record_to_line ~seq m =
 
 let record_of_line line =
   let* j = J.of_string line in
-  let* seq =
-    match J.member "seq" j with
-    | None -> Error "journal record: missing seq"
-    | Some v -> J.to_int v
-  in
+  let* seq = J.field "seq" J.to_int j in
   let* m = Protocol.mutation_of_json j in
   Ok (seq, m)
 
-let manifest_to_string ~fingerprint ~entries =
-  J.to_string
-    (J.Obj
-       [ ("daemon_wal", J.Num 1.0); ("platform", J.Str fingerprint);
-         ("entries", J.Num (float_of_int entries)) ])
-  ^ "\n"
-
-let check_manifest ~path ~fingerprint =
-  let mpath = manifest_path path in
-  if not (Sys.file_exists mpath) then Ok ()
-  else
-    let content = In_channel.with_open_bin mpath In_channel.input_all in
-    let* j =
-      Result.map_error
-        (fun e -> Printf.sprintf "%s: %s" mpath e)
-        (J.of_string (String.trim content))
-    in
-    let* recorded =
-      match J.member "platform" j with
-      | None -> Error (mpath ^ ": missing platform fingerprint")
-      | Some v -> J.to_str v
-    in
-    if recorded <> fingerprint then
-      Error
-        (Printf.sprintf
-           "%s: journal belongs to a different platform (%s, expected %s)"
-           mpath recorded fingerprint)
-    else Ok ()
+(* The manifest pins the nominal platform: the WAL encodes deltas
+   relative to it, so replaying onto another platform is refused. *)
+let identity fingerprint =
+  [ ("daemon_wal", J.Num 1.0); ("platform", J.Str fingerprint) ]
 
 let write_manifest t =
-  Wal.write_atomic ~path:(manifest_path t.path)
-    (manifest_to_string ~fingerprint:t.fingerprint ~entries:t.seq)
+  Wal.write_manifest ~path:(Wal.manifest_path t.path)
+    (identity t.fingerprint @ [ ("entries", J.Num (float_of_int t.seq)) ])
 
 let open_ ~path ~platform =
   let state = State.create platform in
   let fingerprint = State.fingerprint state in
-  let* () = check_manifest ~path ~fingerprint in
+  let* () =
+    Wal.check_manifest ~path:(Wal.manifest_path path) ~what:"platform"
+      (identity fingerprint)
+  in
   let* replayed =
     if Sys.file_exists path then begin
       let* entries, valid_len = Wal.load ~of_line:record_of_line ~path in

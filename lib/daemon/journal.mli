@@ -12,8 +12,9 @@
       means the file was damaged in the middle and the journal refuses
       to open rather than silently reconstructing a different state.
     - A manifest at [path ^ ".manifest"] pins the nominal platform's
-      fingerprint; opening a journal against a different platform is
-      refused (the WAL encodes deltas relative to that platform).
+      fingerprint as its identity ({!Dls_util.Wal.check_manifest});
+      opening a journal against a different platform is refused (the
+      WAL encodes deltas relative to that platform).
     - A torn final line (the kill landed mid-append) is dropped and the
       file truncated back to the valid prefix, exactly as the Engine
       does for campaign logs. *)
@@ -40,6 +41,3 @@ val entries : t -> int
 (** Records journaled so far (replayed + appended). *)
 
 val close : t -> unit
-
-val manifest_path : string -> string
-(** [path ^ ".manifest"]. *)

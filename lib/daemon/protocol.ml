@@ -22,18 +22,6 @@ type request =
 (* JSON codecs                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let field name conv j =
-  match J.member name j with
-  | None -> Error (Printf.sprintf "request: missing field %S" name)
-  | Some v -> conv v
-
-let opt_field name conv j =
-  match J.member name j with
-  | None | Some J.Null -> Ok None
-  | Some v ->
-    let* v = conv v in
-    Ok (Some v)
-
 let mutation_to_json = function
   | Register_app { app; cluster; payoff } ->
     J.Obj
@@ -47,27 +35,19 @@ let mutation_to_json = function
         ("events", J.Arr (List.map Faults.kind_to_json kinds)) ]
 
 let mutation_of_json j =
-  let* op = field "op" J.to_str j in
+  let* op = J.field "op" J.to_str j in
   match op with
   | "register_app" ->
-    let* app = field "app" J.to_str j in
-    let* cluster = field "cluster" J.to_int j in
-    let* payoff = field "payoff" J.to_num j in
+    let* app = J.field "app" J.to_str j in
+    let* cluster = J.field "cluster" J.to_int j in
+    let* payoff = J.field "payoff" J.to_num j in
     Ok (Register_app { app; cluster; payoff })
   | "retire_app" ->
-    let* app = field "app" J.to_str j in
+    let* app = J.field "app" J.to_str j in
     Ok (Retire_app { app })
   | "platform_delta" ->
-    let* events = field "events" J.to_list j in
-    let* kinds =
-      List.fold_left
-        (fun acc e ->
-          let* acc = acc in
-          let* k = Faults.kind_of_json e in
-          Ok (k :: acc))
-        (Ok []) events
-    in
-    Ok (Platform_delta (List.rev kinds))
+    let* kinds = J.field "events" (J.list Faults.kind_of_json) j in
+    Ok (Platform_delta kinds)
   | other -> Error (Printf.sprintf "request: unknown mutation op %S" other)
 
 let objective_name = function
@@ -93,20 +73,19 @@ let request_to_json = function
   | Crash -> J.Obj [ ("op", J.Str "crash") ]
 
 let request_of_json j =
-  let* op = field "op" J.to_str j in
+  let* op = J.field "op" J.to_str j in
   match op with
   | "register_app" | "retire_app" | "platform_delta" ->
     let* m = mutation_of_json j in
     Ok (Mutate m)
   | "get_schedule" ->
     let* objective =
-      match J.member "objective" j with
-      | None | Some J.Null -> Ok Dls_core.Lp_relax.Maxmin
-      | Some v ->
-        let* name = J.to_str v in
-        objective_of_name name
+      J.opt_field "objective"
+        (fun v -> Result.bind (J.to_str v) objective_of_name)
+        j
     in
-    let* budget_ms = opt_field "budget_ms" J.to_num j in
+    let objective = Option.value objective ~default:Dls_core.Lp_relax.Maxmin in
+    let* budget_ms = J.opt_field "budget_ms" J.to_num j in
     (match budget_ms with
     | Some b when not (b >= 0.0 && b < infinity) ->
       Error (Printf.sprintf "request: budget_ms %g not in [0, inf)" b)
@@ -156,27 +135,14 @@ let triple_of_json conv j =
 let schedule_reply_of_json j =
   (* [seq] joined the reply with the batching layer; default 0 keeps
      pre-batching frames decodable. *)
-  let* sr_seq =
-    match J.member "seq" j with
-    | None | Some J.Null -> Ok 0
-    | Some v -> J.to_int v
-  in
-  let* sr_objective = field "objective" J.to_num j in
-  let* sr_rung = field "rung" J.to_str j in
-  let* sr_degraded = field "degraded" J.to_bool j in
-  let* sr_breaker = field "breaker" J.to_str j in
-  let entries name conv =
-    let* l = field name J.to_list j in
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        let* t = triple_of_json conv e in
-        Ok (t :: acc))
-      (Ok []) l
-    |> Result.map List.rev
-  in
-  let* sr_alpha = entries "alpha" J.to_num in
-  let* sr_beta = entries "beta" J.to_int in
+  let* sr_seq = J.opt_field "seq" J.to_int j in
+  let sr_seq = Option.value sr_seq ~default:0 in
+  let* sr_objective = J.field "objective" J.to_num j in
+  let* sr_rung = J.field "rung" J.to_str j in
+  let* sr_degraded = J.field "degraded" J.to_bool j in
+  let* sr_breaker = J.field "breaker" J.to_str j in
+  let* sr_alpha = J.field "alpha" (J.list (triple_of_json J.to_num)) j in
+  let* sr_beta = J.field "beta" (J.list (triple_of_json J.to_int)) j in
   Ok { sr_seq; sr_objective; sr_rung; sr_degraded; sr_breaker; sr_alpha;
        sr_beta }
 

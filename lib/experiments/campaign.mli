@@ -65,37 +65,13 @@ val evaluate_index : config -> int -> entry
 
     One entry per line.  [entry_of_line] never raises: torn or
     partially-flushed lines decode to [Error], which is what lets
-    {!load_log} treat a ragged final line as an interrupted write
-    rather than corruption. *)
+    {!Dls_util.Wal.load} treat a ragged final line as an interrupted
+    write rather than corruption. *)
 
 val entry_to_line : entry -> string
 (** Single line, no trailing newline. *)
 
 val entry_of_line : string -> (entry, string) result
-
-(** {2 Checkpoint manifest} *)
-
-type manifest = {
-  m_config : config;
-  m_total : int;
-  m_completed : int;  (** entries durably in the log when written *)
-}
-
-val manifest_to_string : manifest -> string
-
-val manifest_of_string : string -> (manifest, string) result
-
-val manifest_path : string -> string
-(** [manifest_path out] is [out ^ ".manifest"]; written atomically
-    (temp file + rename) so a crash never leaves a torn manifest. *)
-
-val load_log :
-  path:string -> (entry list * int, string) result
-(** Replay an existing JSONL log: entries in file order, plus the byte
-    length of the valid prefix.  A final line that is unparseable or
-    lacks its trailing newline is dropped (interrupted write); an
-    invalid line {e before} the end is an error — the log is corrupt and
-    resuming would silently lose data. *)
 
 (** {2 Running} *)
 
@@ -126,13 +102,14 @@ val run :
     summary.
 
     - [out]: append each entry as one JSONL line (flushed per chunk) and
-      maintain [manifest_path out].  Without it the campaign is
-      in-memory only ([resume] is then meaningless).
-    - [resume]: replay an existing [out] log first (see {!load_log}),
-      verify it against the manifest's config fingerprint, truncate any
-      torn tail, fire [on_entry] for every replayed entry, and evaluate
-      only the remainder.  Without [resume], an existing [out] is
-      started over from scratch.
+      maintain the checkpoint manifest [out ^ ".manifest"] (the config's
+      fields, then [total] and [completed]).  Without it the campaign
+      is in-memory only ([resume] is then meaningless).
+    - [resume]: replay an existing [out] log first (see
+      {!Dls_util.Wal.load}), refuse it if its manifest records another
+      config, truncate any torn tail, fire [on_entry] for every
+      replayed entry, and evaluate only the remainder.  Without
+      [resume], an existing [out] is started over from scratch.
     - [shards]: partition indices round-robin ([index mod shards]);
       [shard] restricts the run to one partition (for spreading a
       campaign over processes or machines appending to per-shard logs),

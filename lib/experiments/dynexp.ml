@@ -138,28 +138,8 @@ let evaluate_index config index =
 
 let ( let* ) = Result.bind
 
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-
-let num_field name json =
-  let* v = field name json in
-  J.to_num v
-
-let int_field name json =
-  let* v = field name json in
-  J.to_int v
-
-let str_field name json =
-  let* v = field name json in
-  J.to_str v
-
-let bool_field name json =
-  let* v = field name json in
-  J.to_bool v
-
-let policy_of_name_res s =
+let policy_of_json j =
+  let* s = J.to_str j in
   match Dynamic.policy_of_name s with
   | Some p -> Ok p
   | None -> Error (Printf.sprintf "unknown policy %S" s)
@@ -193,105 +173,51 @@ let entry_to_line = function
 
 let entry_of_line line =
   let* json = J.of_string line in
-  let* kind = str_field "type" json in
-  let* index = int_field "index" json in
+  let* kind = J.field "type" J.to_str json in
+  let* index = J.field "index" J.to_int json in
   match kind with
   | "record" ->
-    let* platform = int_field "platform" json in
-    let* policy_str = str_field "policy" json in
-    let* policy = policy_of_name_res policy_str in
-    let* jobs = int_field "jobs" json in
-    let* completed = int_field "completed" json in
-    let* unfinished = int_field "unfinished" json in
-    let* makespan = num_field "makespan" json in
-    let* completed_work = num_field "completed_work" json in
-    let* throughput = num_field "throughput" json in
-    let* mean_response = num_field "mean_response" json in
-    let* events = int_field "events" json in
-    let* replans = int_field "replans" json in
-    let* replan_seconds = num_field "replan_seconds" json in
-    let* log_digest = str_field "log_digest" json in
-    let* guard_exhausted = bool_field "guard_exhausted" json in
+    let* platform = J.field "platform" J.to_int json in
+    let* policy = J.field "policy" policy_of_json json in
+    let* jobs = J.field "jobs" J.to_int json in
+    let* completed = J.field "completed" J.to_int json in
+    let* unfinished = J.field "unfinished" J.to_int json in
+    let* makespan = J.field "makespan" J.to_num json in
+    let* completed_work = J.field "completed_work" J.to_num json in
+    let* throughput = J.field "throughput" J.to_num json in
+    let* mean_response = J.field "mean_response" J.to_num json in
+    let* events = J.field "events" J.to_int json in
+    let* replans = J.field "replans" J.to_int json in
+    let* replan_seconds = J.field "replan_seconds" J.to_num json in
+    let* log_digest = J.field "log_digest" J.to_str json in
+    let* guard_exhausted = J.field "guard_exhausted" J.to_bool json in
     Ok
       (Record
          { index; platform; policy; jobs; completed; unfinished; makespan;
            completed_work; throughput; mean_response; events; replans;
            replan_seconds; log_digest; guard_exhausted })
   | "skipped" ->
-    let* reason = str_field "reason" json in
+    let* reason = J.field "reason" J.to_str json in
     Ok (Skipped { index; reason })
   | other -> Error ("unknown entry type \"" ^ other ^ "\"")
 
-(* ------------------------------------------------------------------ *)
-(* Manifest                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let manifest_to_string config ~completed =
-  J.to_string
-    (J.Obj
-       [ ("version", J.Num 1.0);
-         ("experiment", J.Str "dynamic");
-         ("seed", J.Num (float_of_int config.seed));
-         ("k", J.Num (float_of_int config.k));
-         ("platforms", J.Num (float_of_int config.platforms));
-         ("jobs", J.Num (float_of_int config.jobs));
-         ("rate", J.Num config.rate);
-         ("heavy", J.Bool config.heavy);
-         ( "swf",
-           match config.swf with None -> J.Null | Some path -> J.Str path );
-         ("work_scale", J.Num config.work_scale);
-         ("fault_rate", J.Num config.fault_rate);
-         ( "policies",
-           J.Arr
-             (List.map
-                (fun p -> J.Str (Dynamic.policy_name p))
-                config.policies) );
-         ("measure_time", J.Bool config.measure_time);
-         ("total", J.Num (float_of_int (total config)));
-         ("completed", J.Num (float_of_int completed)) ])
-
-let config_of_manifest s =
-  let* json = J.of_string s in
-  let* version = int_field "version" json in
-  if version <> 1 then
-    Error (Printf.sprintf "unsupported manifest version %d" version)
-  else
-    let* experiment = str_field "experiment" json in
-    if experiment <> "dynamic" then
-      Error (Printf.sprintf "manifest belongs to experiment %S" experiment)
-    else
-      let* seed = int_field "seed" json in
-      let* k = int_field "k" json in
-      let* platforms = int_field "platforms" json in
-      let* jobs = int_field "jobs" json in
-      let* rate = num_field "rate" json in
-      let* heavy = bool_field "heavy" json in
-      let* swf_json = field "swf" json in
-      let* swf =
-        match swf_json with
-        | J.Null -> Ok None
-        | j ->
-          let* s = J.to_str j in
-          Ok (Some s)
-      in
-      let* work_scale = num_field "work_scale" json in
-      let* fault_rate = num_field "fault_rate" json in
-      let* policies_json = field "policies" json in
-      let* policy_items = J.to_list policies_json in
-      let* policies =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* s = J.to_str item in
-            let* p = policy_of_name_res s in
-            Ok (p :: acc))
-          (Ok []) policy_items
-      in
-      let policies = List.rev policies in
-      let* measure_time = bool_field "measure_time" json in
-      Ok
-        { seed; k; platforms; jobs; rate; heavy; swf; work_scale; fault_rate;
-          policies; measure_time }
+(* The manifest's leading fields: a resume must find them unchanged. *)
+let identity config =
+  [ ("version", J.Num 1.0);
+    ("experiment", J.Str "dynamic");
+    ("seed", J.Num (float_of_int config.seed));
+    ("k", J.Num (float_of_int config.k));
+    ("platforms", J.Num (float_of_int config.platforms));
+    ("jobs", J.Num (float_of_int config.jobs));
+    ("rate", J.Num config.rate);
+    ("heavy", J.Bool config.heavy);
+    ("swf", match config.swf with None -> J.Null | Some path -> J.Str path);
+    ("work_scale", J.Num config.work_scale);
+    ("fault_rate", J.Num config.fault_rate);
+    ( "policies",
+      J.Arr
+        (List.map (fun p -> J.Str (Dynamic.policy_name p)) config.policies) );
+    ("measure_time", J.Bool config.measure_time) ]
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -303,7 +229,8 @@ let validate config =
   else if config.jobs < 0 then Error "dynamic: jobs must be >= 0"
   else if not (config.rate > 0.0 && Float.is_finite config.rate) then
     Error "dynamic: rate must be positive"
-  else if config.fault_rate < 0.0 then Error "dynamic: fault_rate must be >= 0"
+  else if not (config.fault_rate >= 0.0 && config.fault_rate < infinity) then
+    Error "dynamic: fault_rate must be finite and >= 0"
   else if not (config.work_scale > 0.0 && Float.is_finite config.work_scale)
   then Error "dynamic: work_scale must be positive"
   else Ok ()
@@ -323,25 +250,7 @@ let spec config =
       | Record r -> [ ("replan", r.replan_seconds) ]);
     time_labels = [ "replan" ];
     log_time_stats = config.measure_time;
-    write_manifest =
-      (fun ~out ~completed ->
-        Engine.write_atomic ~path:(out ^ ".manifest")
-          (manifest_to_string config ~completed ^ "\n"));
-    check_manifest =
-      (fun ~path ->
-        let mpath = path ^ ".manifest" in
-        if not (Sys.file_exists mpath) then Ok ()
-        else
-          let* c =
-            config_of_manifest
-              (In_channel.with_open_bin mpath In_channel.input_all)
-          in
-          if c <> config then
-            Error
-              (mpath
-               ^ ": checkpoint belongs to a different dynamic config; \
-                  refusing to resume")
-          else Ok ()) }
+    identity = identity config }
 
 let run ?domains ?chunk ?checkpoint_every ?shards ?shard ?resume ?out ?on_entry
     config =

@@ -15,8 +15,7 @@ type 'e spec = {
   entry_times : 'e -> (string * float) list;
   time_labels : string list;
   log_time_stats : bool;
-  write_manifest : out:string -> completed:int -> unit;
-  check_manifest : path:string -> (unit, string) result;
+  identity : (string * Dls_util.Json.t) list;
 }
 
 type summary = {
@@ -31,12 +30,7 @@ type summary = {
 
 let ( let* ) = Result.bind
 
-(* The JSONL/torn-tail/atomic-manifest machinery lives in
-   {!Dls_util.Wal} (the daemon journals through the same code); these
-   aliases keep the Engine API stable for the experiment specs. *)
-let load_log ~of_line ~path = Dls_util.Wal.load ~of_line ~path
-
-let write_atomic ~path content = Dls_util.Wal.write_atomic ~path content
+module Wal = Dls_util.Wal
 
 let validate spec ~shards ~shard =
   if spec.total < 0 then Error (spec.log_label ^ ": negative total")
@@ -58,9 +52,12 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
   let* replayed =
     match out with
     | Some path when resume && Sys.file_exists path ->
-      let* () = spec.check_manifest ~path in
-      let* entries, valid_len = load_log ~of_line:spec.of_line ~path in
-      let dropped = Dls_util.Wal.truncate_torn ~path ~valid_len in
+      let* () =
+        Wal.check_manifest ~path:(Wal.manifest_path path)
+          ~what:(spec.log_label ^ " config") spec.identity
+      in
+      let* entries, valid_len = Wal.load ~of_line:spec.of_line ~path in
+      let dropped = Wal.truncate_torn ~path ~valid_len in
       if dropped > 0 then
         Logs.warn (fun m ->
             m "%s: dropping %d torn trailing bytes of %s" spec.log_label
@@ -90,7 +87,7 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
     | Some path ->
       (* Fresh start: clear stale artifacts of a previous run. *)
       if Sys.file_exists path then Sys.remove path;
-      let mpath = path ^ ".manifest" in
+      let mpath = Wal.manifest_path path in
       if Sys.file_exists mpath then Sys.remove mpath;
       Ok []
     | None -> Ok []
@@ -111,12 +108,15 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
     List.fold_left (fun acc s -> acc + Array.length (pending_of s)) 0
       shards_to_run
   in
-  let oc = Option.map (fun path -> Dls_util.Wal.open_append ~path) out in
+  let oc = Option.map (fun path -> Wal.open_append ~path) out in
   let logged_total = ref replayed_n in
   let checkpoint () =
     match out with
     | Some path ->
-      spec.write_manifest ~out:path ~completed:!logged_total;
+      Wal.write_manifest ~path:(Wal.manifest_path path)
+        (spec.identity
+        @ [ ("total", Dls_util.Json.Num (float_of_int n));
+            ("completed", Dls_util.Json.Num (float_of_int !logged_total)) ]);
       if Olog.enabled Olog.Debug then
         Olog.debug "engine.checkpoint"
           ~fields:

@@ -5,9 +5,11 @@
     manifests, torn-tail truncation and resume-by-replay — factored out
     so other sweeps (the {!Resilience} fault-rate experiment) inherit
     crash-safety without re-implementing it.  An experiment supplies a
-    {!spec}: the index space, the entry codec, the evaluator, and two
-    manifest closures that keep each experiment's on-disk manifest
-    format (and its config-mismatch refusal) under its own control. *)
+    {!spec}: the index space, the entry codec, the evaluator, and the
+    identity fields of its config.  The Engine owns the manifest: it
+    writes [identity] plus [total]/[completed] next to the log
+    ({!Dls_util.Wal.write_manifest}) and, on resume, refuses a log whose
+    manifest records another identity ({!Dls_util.Wal.check_manifest}). *)
 
 type 'e spec = {
   log_label : string;  (** prefix of [Logs] messages, e.g. ["campaign"] *)
@@ -27,11 +29,9 @@ type 'e spec = {
   time_labels : string list;  (** sample labels, in reporting order *)
   log_time_stats : bool;
       (** log a mean/median/p95 digest per label after the run *)
-  write_manifest : out:string -> completed:int -> unit;
-      (** atomically write the experiment's manifest next to [out] *)
-  check_manifest : path:string -> (unit, string) result;
-      (** on resume: verify a manifest (if it exists) matches the
-          current config; [Error] refuses the resume *)
+  identity : (string * Dls_util.Json.t) list;
+      (** the config fingerprint: the leading manifest fields, which a
+          resume must find unchanged *)
 }
 
 type summary = {
@@ -44,19 +44,6 @@ type summary = {
   s_times : (string * float array) list;
       (** per-label wall-clock samples from this run's records *)
 }
-
-val load_log :
-  of_line:(string -> ('e, string) result) ->
-  path:string ->
-  ('e list * int, string) result
-(** Replay an existing JSONL log: entries in file order, plus the byte
-    length of the valid prefix.  A final line that is unparseable or
-    lacks its trailing newline is dropped (interrupted write); an
-    invalid line {e before} the end is an error. *)
-
-val write_atomic : path:string -> string -> unit
-(** Write a file via temp-and-rename, so a crash mid-write can only lose
-    the update, never produce a torn file (the manifest discipline). *)
 
 val run :
   ?domains:int ->
@@ -72,6 +59,7 @@ val run :
 (** Same contract as {!Campaign.run} (which is now this function under a
     campaign spec): evaluate every pending index, streaming entries to
     [out] and checkpointing every [checkpoint_every] entries; with
-    [resume], replay [out] first (after [check_manifest]) and evaluate
-    only the frontier; [shards]/[shard] partition indices round-robin;
-    [domains]/[chunk] fan evaluation out over a worker pool. *)
+    [resume], replay [out] first (after checking [identity] against
+    its manifest) and evaluate only the frontier; [shards]/[shard]
+    partition indices round-robin; [domains]/[chunk] fan evaluation out
+    over a worker pool. *)

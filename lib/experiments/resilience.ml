@@ -161,35 +161,18 @@ let hres_to_json = function
         ("killed", J.Num (float_of_int h.killed));
         ("stalled", J.Num (float_of_int h.stalled)) ]
 
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-
-let num_field name json =
-  let* v = field name json in
-  J.to_num v
-
-let int_field name json =
-  let* v = field name json in
-  J.to_int v
-
-let str_field name json =
-  let* v = field name json in
-  J.to_str v
-
 let hres_of_json = function
   | J.Null -> Ok None
   | json ->
-    let* predicted = num_field "predicted" json in
-    let* baseline = num_field "baseline" json in
-    let* faulted = num_field "faulted" json in
-    let* repaired = num_field "repaired" json in
-    let* stage_str = str_field "stage" json in
-    let* stage = stage_of_name stage_str in
-    let* repair_seconds = num_field "repair_seconds" json in
-    let* killed = int_field "killed" json in
-    let* stalled = int_field "stalled" json in
+    let* predicted = J.field "predicted" J.to_num json in
+    let* baseline = J.field "baseline" J.to_num json in
+    let* faulted = J.field "faulted" J.to_num json in
+    let* repaired = J.field "repaired" J.to_num json in
+    let* stage = J.field "stage" J.to_str json in
+    let* stage = stage_of_name stage in
+    let* repair_seconds = J.field "repair_seconds" J.to_num json in
+    let* killed = J.field "killed" J.to_int json in
+    let* stalled = J.field "stalled" J.to_int json in
     Ok
       (Some
          { predicted; baseline; faulted; repaired; stage; repair_seconds;
@@ -218,85 +201,41 @@ let entry_to_line = function
 
 let entry_of_line line =
   let* json = J.of_string line in
-  let* kind = str_field "type" json in
-  let* index = int_field "index" json in
+  let* kind = J.field "type" J.to_str json in
+  let* index = J.field "index" J.to_int json in
   match kind with
   | "record" ->
-    let* rate = num_field "rate" json in
-    let* fault_events = int_field "fault_events" json in
-    let* downtime = num_field "downtime" json in
-    let* results_json = field "results" json in
+    let* rate = J.field "rate" J.to_num json in
+    let* fault_events = J.field "fault_events" J.to_int json in
+    let* downtime = J.field "downtime" J.to_num json in
+    let* results_json = J.field "results" Result.ok json in
     let* results =
       List.fold_left
         (fun acc h ->
           let* acc = acc in
-          let* res_json = field (Heuristics.name h) results_json in
-          let* res = hres_of_json res_json in
+          let* res = J.field (Heuristics.name h) hres_of_json results_json in
           Ok ((h, res) :: acc))
         (Ok []) Heuristics.all
     in
     Ok (Record { index; rate; fault_events; downtime; results = List.rev results })
   | "skipped" ->
-    let* reason = str_field "reason" json in
+    let* reason = J.field "reason" J.to_str json in
     Ok (Skipped { index; reason })
   | other -> Error ("unknown entry type \"" ^ other ^ "\"")
 
-(* ------------------------------------------------------------------ *)
-(* Manifest                                                            *)
-(* ------------------------------------------------------------------ *)
-
 let policy_name = function Faults.Stall -> "stall" | Faults.Kill -> "kill"
 
-let policy_of_name = function
-  | "stall" -> Ok Faults.Stall
-  | "kill" -> Ok Faults.Kill
-  | s -> Error (Printf.sprintf "unknown fault policy %S" s)
-
-let manifest_to_string config ~completed =
-  J.to_string
-    (J.Obj
-       [ ("version", J.Num 1.0);
-         ("experiment", J.Str "resilience");
-         ("seed", J.Num (float_of_int config.seed));
-         ("k", J.Num (float_of_int config.k));
-         ("rates", J.Arr (List.map (fun r -> J.Num r) config.rates));
-         ("per_rate", J.Num (float_of_int config.per_rate));
-         ("periods", J.Num (float_of_int config.periods));
-         ("policy", J.Str (policy_name config.policy));
-         ("measure_time", J.Bool config.measure_time);
-         ("total", J.Num (float_of_int (total config)));
-         ("completed", J.Num (float_of_int completed)) ])
-
-let config_of_manifest s =
-  let* json = J.of_string s in
-  let* version = int_field "version" json in
-  if version <> 1 then
-    Error (Printf.sprintf "unsupported manifest version %d" version)
-  else
-    let* experiment = str_field "experiment" json in
-    if experiment <> "resilience" then
-      Error (Printf.sprintf "manifest belongs to experiment %S" experiment)
-    else
-      let* seed = int_field "seed" json in
-      let* k = int_field "k" json in
-      let* rates_json = field "rates" json in
-      let* rates_items = J.to_list rates_json in
-      let* rates =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* r = J.to_num item in
-            Ok (r :: acc))
-          (Ok []) rates_items
-      in
-      let rates = List.rev rates in
-      let* per_rate = int_field "per_rate" json in
-      let* periods = int_field "periods" json in
-      let* policy_str = str_field "policy" json in
-      let* policy = policy_of_name policy_str in
-      let* measure_time_json = field "measure_time" json in
-      let* measure_time = J.to_bool measure_time_json in
-      Ok { seed; k; rates; per_rate; periods; policy; measure_time }
+(* The manifest's leading fields: a resume must find them unchanged. *)
+let identity config =
+  [ ("version", J.Num 1.0);
+    ("experiment", J.Str "resilience");
+    ("seed", J.Num (float_of_int config.seed));
+    ("k", J.Num (float_of_int config.k));
+    ("rates", J.Arr (List.map (fun r -> J.Num r) config.rates));
+    ("per_rate", J.Num (float_of_int config.per_rate));
+    ("periods", J.Num (float_of_int config.periods));
+    ("policy", J.Str (policy_name config.policy));
+    ("measure_time", J.Bool config.measure_time) ]
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -304,8 +243,8 @@ let config_of_manifest s =
 
 let validate config =
   if config.rates = [] then Error "resilience: rates must be non-empty"
-  else if List.exists (fun r -> r < 0.0) config.rates then
-    Error "resilience: rates must be >= 0"
+  else if not (List.for_all (fun r -> r >= 0.0 && r < infinity) config.rates)
+  then Error "resilience: rates must be finite and >= 0"
   else if config.per_rate < 0 then Error "resilience: per_rate must be >= 0"
   else if config.periods < 3 then Error "resilience: periods must be >= 3"
   else Ok ()
@@ -329,25 +268,7 @@ let spec config =
           r.results);
     time_labels = [ "repair" ];
     log_time_stats = config.measure_time;
-    write_manifest =
-      (fun ~out ~completed ->
-        Engine.write_atomic ~path:(out ^ ".manifest")
-          (manifest_to_string config ~completed ^ "\n"));
-    check_manifest =
-      (fun ~path ->
-        let mpath = path ^ ".manifest" in
-        if not (Sys.file_exists mpath) then Ok ()
-        else
-          let* c =
-            config_of_manifest
-              (In_channel.with_open_bin mpath In_channel.input_all)
-          in
-          if c <> config then
-            Error
-              (mpath
-               ^ ": checkpoint belongs to a different resilience config; \
-                  refusing to resume")
-          else Ok ()) }
+    identity = identity config }
 
 let run ?domains ?chunk ?checkpoint_every ?shards ?shard ?resume ?out ?on_entry
     config =

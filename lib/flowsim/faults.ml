@@ -90,33 +90,28 @@ let kind_to_json = function
 
 let kind_of_json j =
   let ( let* ) = Result.bind in
-  let field name conv =
-    match J.member name j with
-    | None -> Error (Printf.sprintf "fault: missing field %S" name)
-    | Some v -> conv v
-  in
-  let* tag = field "fault" J.to_str in
+  let* tag = J.field "fault" J.to_str j in
   match tag with
   | "link_down" ->
-    let* i = field "link" J.to_int in
+    let* i = J.field "link" J.to_int j in
     Ok (Link_down i)
   | "link_up" ->
-    let* i = field "link" J.to_int in
+    let* i = J.field "link" J.to_int j in
     Ok (Link_up i)
   | "link_degrade" ->
-    let* link = field "link" J.to_int in
-    let* factor = field "factor" J.to_num in
+    let* link = J.field "link" J.to_int j in
+    let* factor = J.field "factor" J.to_num j in
     Ok (Link_degrade { link; factor })
   | "max_connect" ->
-    let* link = field "link" J.to_int in
-    let* limit = field "limit" J.to_int in
+    let* link = J.field "link" J.to_int j in
+    let* limit = J.field "limit" J.to_int j in
     Ok (Max_connect { link; limit })
   | "cluster_throttle" ->
-    let* cluster = field "cluster" J.to_int in
-    let* factor = field "factor" J.to_num in
+    let* cluster = J.field "cluster" J.to_int j in
+    let* factor = J.field "factor" J.to_num j in
     Ok (Cluster_throttle { cluster; factor })
   | "cluster_crash" ->
-    let* c = field "cluster" J.to_int in
+    let* c = J.field "cluster" J.to_int j in
     Ok (Cluster_crash c)
   | other -> Error (Printf.sprintf "fault: unknown kind %S" other)
 
@@ -134,8 +129,12 @@ let trace plan =
 let random ~seed ~horizon ?(link_rate = 0.0) ?(cluster_rate = 0.0) p =
   if not (horizon >= 0.0 && horizon < infinity) then
     invalid_arg (Printf.sprintf "Faults.random: horizon %g not in [0, inf)" horizon);
-  if link_rate < 0.0 || cluster_rate < 0.0 then
-    invalid_arg "Faults.random: negative event rate";
+  let check_rate name r =
+    if not (r >= 0.0 && r < infinity) then
+      invalid_arg (Printf.sprintf "Faults.random: %s %g not in [0, inf)" name r)
+  in
+  check_rate "link_rate" link_rate;
+  check_rate "cluster_rate" cluster_rate;
   let exponential g ~rate =
     (* inversion; [Prng.float] is in [0, 1) so [1 - u] never hits 0 *)
     let u = Prng.float g ~lo:0.0 ~hi:1.0 in

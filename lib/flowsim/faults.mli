@@ -73,7 +73,9 @@ val random :
     draws come from [Prng.derive ~seed ~index:i]-style streams, so the
     plan is reproducible in O(1) per entity regardless of who else was
     generated first.
-    @raise Invalid_argument on a negative rate or horizon. *)
+    @raise Invalid_argument on a rate or horizon outside [[0, inf)]
+    (NaN included): an infinite rate would draw zero-length gaps
+    forever. *)
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit

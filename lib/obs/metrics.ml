@@ -412,58 +412,40 @@ let value_to_json (name, v) =
                 J.Arr [ J.Num (float_of_int i); J.Num (float_of_int c) ])
               hs.hs_buckets)) ]
 
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-
-let int_field name json = Result.bind (field name json) J.to_int
-
-let str_field name json = Result.bind (field name json) J.to_str
-
-let edge_field name ~empty json =
-  match J.member name json with
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-  | Some J.Null -> Ok empty
-  | Some v -> J.to_num v
-
 let value_of_json json =
-  let* name = str_field "metric" json in
-  let* kind = str_field "type" json in
+  let edge name ~empty =
+    J.field name (function J.Null -> Ok empty | v -> J.to_num v) json
+  in
+  let* name = J.field "metric" J.to_str json in
+  let* kind = J.field "type" J.to_str json in
   match kind with
   | "counter" ->
-    let* n = int_field "value" json in
+    let* n = J.field "value" J.to_int json in
     Ok (name, Counter n)
   | "gauge" ->
-    let* value = edge_field "value" ~empty:Float.nan json in
-    let* seq = int_field "seq" json in
+    let* value = edge "value" ~empty:Float.nan in
+    let* seq = J.field "seq" J.to_int json in
     Ok (name, Gauge { value; seq })
   | "histogram" ->
-    let* hs_count = int_field "count" json in
-    let* hs_underflow = int_field "underflow" json in
-    let* hs_sum = edge_field "sum" ~empty:0.0 json in
-    let* hs_min = edge_field "min" ~empty:infinity json in
-    let* hs_max = edge_field "max" ~empty:neg_infinity json in
-    let* buckets_json = field "buckets" json in
-    let* items = J.to_list buckets_json in
+    let* hs_count = J.field "count" J.to_int json in
+    let* hs_underflow = J.field "underflow" J.to_int json in
+    let* hs_sum = edge "sum" ~empty:0.0 in
+    let* hs_min = edge "min" ~empty:infinity in
+    let* hs_max = edge "max" ~empty:neg_infinity in
     let* hs_buckets =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* pair = J.to_list item in
-          match pair with
-          | [ i; c ] ->
+      J.field "buckets"
+        (J.list (function
+          | J.Arr [ i; c ] ->
             let* i = J.to_int i in
             let* c = J.to_int c in
-            Ok ((i, c) :: acc)
-          | _ -> Error "histogram bucket is not an [index, count] pair")
-        (Ok []) items
+            Ok (i, c)
+          | _ -> Error "histogram bucket is not an [index, count] pair"))
+        json
     in
     Ok
       ( name,
         Histogram
-          { hs_buckets = List.rev hs_buckets; hs_underflow; hs_count; hs_sum;
-            hs_min; hs_max } )
+          { hs_buckets; hs_underflow; hs_count; hs_sum; hs_min; hs_max } )
   | other -> Error ("unknown metric type \"" ^ other ^ "\"")
 
 let snapshot_to_jsonl snap =

@@ -325,6 +325,23 @@ let to_bool = function
   | Bool b -> Ok b
   | t -> Error ("expected bool, got " ^ type_name t)
 
-let to_list = function
-  | Arr items -> Ok items
+let field name conv j =
+  match member name j with
+  | None -> Error (Printf.sprintf "missing field %S" name)
+  | Some v -> conv v
+
+let opt_field name conv j =
+  match member name j with
+  | None | Some Null -> Ok None
+  | Some v -> Result.map Option.some (conv v)
+
+let list conv j =
+  match j with
+  | Arr items ->
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | item :: rest -> (
+        match conv item with Ok v -> go (v :: acc) rest | Error _ as e -> e)
+    in
+    go [] items
   | t -> Error ("expected array, got " ^ type_name t)

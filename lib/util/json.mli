@@ -1,5 +1,6 @@
-(** Minimal strict JSON, used by the campaign runner's append-only JSONL
-    record log and checkpoint manifest.
+(** Minimal strict JSON, used by the experiment runners' append-only
+    JSONL record logs and checkpoint manifests, and by the daemon's
+    protocol and journal.
 
     Deliberately dependency-free and line-oriented: {!to_string} always
     produces a single compact line (no embedded newlines, even inside
@@ -32,9 +33,12 @@ val of_string : string -> (t, string) result
     whitespace is allowed, any other trailing garbage (including a
     second value) is an error.  Never raises on malformed input. *)
 
-(** {2 Accessors}
+(** {2 Decoders}
 
-    Small total helpers so decoders read as straight-line code. *)
+    Small total helpers so decoders read as straight-line code under
+    [let* = Result.bind]: [let* seed = field "seed" to_int j in ...].
+    Every JSON codec in the tree decodes through these, so a missing
+    member reads the same whatever the format. *)
 
 val member : string -> t -> t option
 (** Field lookup in an {!Obj} ([None] on missing field or non-object). *)
@@ -48,4 +52,15 @@ val to_str : t -> (string, string) result
 
 val to_bool : t -> (bool, string) result
 
-val to_list : t -> (t list, string) result
+val field : string -> (t -> ('a, string) result) -> t -> ('a, string) result
+(** [field name conv j] decodes member [name] of object [j] with [conv].
+    A missing member (or a non-object [j]) is an [Error] that names
+    [name]; [conv]'s own error is returned as is. *)
+
+val opt_field :
+  string -> (t -> ('a, string) result) -> t -> ('a option, string) result
+(** Like {!field}, but a missing or [null] member decodes to [None]. *)
+
+val list : (t -> ('a, string) result) -> t -> ('a list, string) result
+(** Decode every item of an {!Arr} with [conv], in order; the first
+    failing item's error wins.  A non-array is an [Error]. *)

@@ -39,6 +39,31 @@ let write_atomic ~path content =
     (fun () -> output_string oc content);
   Sys.rename tmp path
 
+let manifest_path log = log ^ ".manifest"
+
+let write_manifest ~path fields =
+  write_atomic ~path (Json.to_string (Json.Obj fields) ^ "\n")
+
+let check_manifest ~path ~what identity =
+  if not (Sys.file_exists path) then Ok ()
+  else
+    let content = In_channel.with_open_bin path In_channel.input_all in
+    match Json.of_string content with
+    | Error e -> Error (Printf.sprintf "%s: unreadable manifest: %s" path e)
+    | Ok recorded -> (
+      match
+        List.find_opt
+          (fun (name, v) -> Json.member name recorded <> Some v)
+          identity
+      with
+      | None -> Ok ()
+      | Some (name, _) ->
+        Error
+          (Printf.sprintf
+             "%s: belongs to a different %s (field %S differs); refusing to \
+              resume"
+             path what name))
+
 let open_append ~path =
   open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
 

@@ -19,7 +19,13 @@
       silently skipped.
     - {b Atomic manifests.}  Derived state (checkpoints, fingerprints)
       is written via temp-file-and-rename ({!write_atomic}), so a crash
-      mid-write loses the update but can never produce a torn file. *)
+      mid-write loses the update but can never produce a torn file.
+    - {b Resume identity.}  A manifest is one JSON object: the owner's
+      {e identity} fields (the config or platform fingerprint the log
+      was written under) followed by its {e progress} fields (counts).
+      {!check_manifest} refuses to reopen a log whose manifest records
+      a different identity, so a log is never extended under another
+      config. *)
 
 val load :
   of_line:(string -> ('e, string) result) ->
@@ -40,6 +46,24 @@ val write_atomic : path:string -> string -> unit
 (** Write a file via temp-and-rename, so a crash mid-write can only
     lose the update, never produce a torn file (the manifest
     discipline). *)
+
+val manifest_path : string -> string
+(** [manifest_path log] is [log ^ ".manifest"], where a log's manifest
+    lives. *)
+
+val write_manifest : path:string -> (string * Json.t) list -> unit
+(** Atomically write the manifest [path] as one JSON object line with
+    the given fields, in order: pass [identity @ progress]. *)
+
+val check_manifest :
+  path:string -> what:string -> (string * Json.t) list -> (unit, string) result
+(** On reopen: [Ok ()] when there is no manifest at [path], or when
+    every [identity] field equals the recorded one (extra recorded
+    fields, such as progress counts, are ignored).  Otherwise an
+    [Error] naming [path], the [what] it belongs to and the first
+    identity field that differs or is missing; an unparseable manifest
+    is an [Error] too.  @raise Sys_error when [path] exists but cannot
+    be read. *)
 
 val open_append : path:string -> out_channel
 (** Open (creating if needed) an append-mode channel suitable for the

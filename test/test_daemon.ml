@@ -593,9 +593,9 @@ let status j =
   match J.member "status" j with Some (J.Str s) -> s | _ -> "?"
 
 let num_field name j =
-  match J.member name j with
-  | Some (J.Num v) -> v
-  | _ -> Alcotest.failf "missing numeric field %s" name
+  match J.field name J.to_num j with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "reply: %s" e
 
 let test_server_end_to_end () =
   with_dir @@ fun dir ->

@@ -351,6 +351,59 @@ let test_dynexp_resume_replays () =
         Alcotest.(check int) "everything replayed" (E.Dynexp.total tiny_config)
           s.E.Engine.s_replayed)
 
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Every identity field is checked on resume: changing any one of them
+   is refused, naming the manifest, the experiment and the field. *)
+let test_dynexp_resume_rejects_mismatch () =
+  let out = Filename.temp_file "dls_dynexp" ".jsonl" in
+  let mpath = Dls_util.Wal.manifest_path out in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ out; mpath ])
+    (fun () ->
+      (match E.Dynexp.run ~out tiny_config with
+      | Error msg -> Alcotest.failf "fresh run: %s" msg
+      | Ok _ -> ());
+      List.iter
+        (fun (field, config) ->
+          match E.Dynexp.run ~resume:true ~out config with
+          | Ok _ -> Alcotest.failf "resume accepted a different %s" field
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s refusal names it: %s" field msg)
+              true
+              (contains mpath msg
+              && contains "different dynamic config" msg
+              && contains (Printf.sprintf "field %S" field) msg))
+        E.Dynexp.
+          [ ("seed", { tiny_config with seed = 34 });
+            ("k", { tiny_config with k = 4 });
+            ("platforms", { tiny_config with platforms = 3 });
+            ("jobs", { tiny_config with jobs = 9 });
+            ("rate", { tiny_config with rate = 0.6 });
+            ("heavy", { tiny_config with heavy = true });
+            ("swf", { tiny_config with swf = Some sample_swf });
+            ("work_scale", { tiny_config with work_scale = 2.0 });
+            ("fault_rate", { tiny_config with fault_rate = 0.1 });
+            ("policies", { tiny_config with policies = [ D.Fcfs ] });
+            ("measure_time", { tiny_config with measure_time = true }) ])
+
+let test_dynexp_rejects_non_finite_fault_rate () =
+  List.iter
+    (fun fault_rate ->
+      match E.Dynexp.run { tiny_config with E.Dynexp.fault_rate } with
+      | Ok _ -> Alcotest.failf "fault_rate %g accepted" fault_rate
+      | Error msg ->
+        Alcotest.(check bool) ("stated error: " ^ msg) true
+          (contains "fault_rate must be finite" msg))
+    [ infinity; Float.nan; -0.5 ]
+
 (* Kill + resume: truncate the JSONL log mid-run and resume; the final
    record set — including each run's event-log digest — must be
    byte-identical to the uninterrupted run's. *)
@@ -361,8 +414,8 @@ let test_dynexp_kill_resume_identical () =
     |> List.filter (fun l -> l <> "")
   in
   let sorted_records out =
-    match E.Engine.load_log ~of_line:E.Dynexp.entry_of_line ~path:out with
-    | Error msg -> Alcotest.failf "load_log: %s" msg
+    match Dls_util.Wal.load ~of_line:E.Dynexp.entry_of_line ~path:out with
+    | Error msg -> Alcotest.failf "Wal.load: %s" msg
     | Ok (entries, _) ->
       List.sort
         (fun a b ->
@@ -455,6 +508,10 @@ let () =
           Alcotest.test_case "deterministic across domains" `Quick
             test_dynexp_deterministic_across_domains;
           Alcotest.test_case "resume replays" `Quick test_dynexp_resume_replays;
+          Alcotest.test_case "resume rejects config mismatch" `Quick
+            test_dynexp_resume_rejects_mismatch;
+          Alcotest.test_case "non-finite fault rate rejected" `Quick
+            test_dynexp_rejects_non_finite_fault_rate;
           Alcotest.test_case "kill+resume identical" `Quick
             test_dynexp_kill_resume_identical;
           Alcotest.test_case "replay exposes event log" `Quick

@@ -300,7 +300,8 @@ let test_campaign_deterministic_across_shards () =
   let l4 = sort_by_index (file_lines out4) in
   Alcotest.(check (list string)) "1 vs 4 shards byte-identical after sort" l1 l4;
   List.iter Sys.remove
-    [ out1; out4; C.manifest_path out1; C.manifest_path out4 ]
+    [ out1; out4; Dls_util.Wal.manifest_path out1;
+      Dls_util.Wal.manifest_path out4 ]
 
 let test_campaign_single_shard_runs_its_slice () =
   let _, lines = run_lines ~shards:3 ~shard:1 small_config in
@@ -341,7 +342,7 @@ let test_campaign_crash_resume () =
   let merged = sort_by_index (file_lines out) in
   Alcotest.(check (list string)) "merged log equals uninterrupted run"
     baseline merged;
-  List.iter Sys.remove [ out; C.manifest_path out ]
+  List.iter Sys.remove [ out; Dls_util.Wal.manifest_path out ]
 
 let test_campaign_resume_rejects_mismatch () =
   let out = Filename.temp_file "dls_campaign" ".jsonl" in
@@ -351,7 +352,7 @@ let test_campaign_resume_rejects_mismatch () =
    with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "resume accepted a different campaign config");
-  List.iter Sys.remove [ out; C.manifest_path out ]
+  List.iter Sys.remove [ out; Dls_util.Wal.manifest_path out ]
 
 let test_campaign_corrupt_middle_rejected () =
   let out = Filename.temp_file "dls_campaign" ".jsonl" in
@@ -371,7 +372,7 @@ let test_campaign_corrupt_middle_rejected () =
      Alcotest.(check bool) "mentions corruption" true
        (String.length msg > 0)
    | Ok _ -> Alcotest.fail "resume accepted a corrupt mid-log entry");
-  List.iter Sys.remove [ out; C.manifest_path out ]
+  List.iter Sys.remove [ out; Dls_util.Wal.manifest_path out ]
 
 (* --- QCheck codecs ------------------------------------------------- *)
 
@@ -479,28 +480,113 @@ let gen_config =
     let* measure_time = bool in
     return { C.seed; ks; per_k; with_lprr; lprr_max_k; measure_time })
 
-let prop_manifest_roundtrip =
-  QCheck2.Test.make ~name:"manifest decode inverts encode" ~count:300
-    QCheck2.Gen.(
-      let* m_config = gen_config in
-      let* m_total = int_range 0 1_000_000 in
-      let* m_completed = int_range 0 1_000_000 in
-      return { C.m_config; m_total; m_completed })
-    (fun m -> C.manifest_of_string (C.manifest_to_string m) = Ok m)
-
-let prop_manifest_rejects_torn =
-  QCheck2.Test.make ~name:"manifest decoder rejects torn input" ~count:100
-    QCheck2.Gen.(pair gen_config (float_range 0.0 1.0))
-    (fun (config, frac) ->
-      let s =
-        C.manifest_to_string
-          { C.m_config = config; m_total = 10; m_completed = 3 }
+(* The manifest's identity is the whole config: resuming under the
+   config that wrote it is accepted, and changing any one field is
+   refused.  [per_k = 0] on the writing side keeps every run
+   evaluation-free (a refusal happens before any evaluation). *)
+let prop_resume_identity =
+  QCheck2.Test.make ~name:"resume accepts only the writing config" ~count:100
+    QCheck2.Gen.(triple gen_config gen_config (int_range 0 6))
+    (fun (a, other, which) ->
+      let a = { a with C.per_k = 0 } in
+      let b =
+        match which with
+        | 0 -> { a with C.seed = other.C.seed }
+        | 1 -> { a with C.ks = other.C.ks }
+        | 2 -> { a with C.per_k = other.C.per_k }
+        | 3 -> { a with C.with_lprr = other.C.with_lprr }
+        | 4 -> { a with C.lprr_max_k = other.C.lprr_max_k }
+        | 5 -> { a with C.measure_time = other.C.measure_time }
+        | _ -> a
       in
-      let cut = int_of_float (frac *. float_of_int (String.length s)) in
-      let cut = Stdlib.min cut (String.length s - 1) in
-      match C.manifest_of_string (String.sub s 0 cut) with
-      | Error _ -> true
-      | Ok _ -> false)
+      let out = Filename.temp_file "dls_identity" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun f -> if Sys.file_exists f then Sys.remove f)
+            [ out; Dls_util.Wal.manifest_path out ])
+        (fun () ->
+          match C.run ~out a with
+          | Error msg -> QCheck2.Test.fail_reportf "fresh run: %s" msg
+          | Ok _ -> Result.is_ok (C.run ~resume:true ~out b) = (a = b)))
+
+(* --- Manifest format ----------------------------------------------- *)
+
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let with_log f =
+  let out = Filename.temp_file "dls_manifest" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ out; Dls_util.Wal.manifest_path out ])
+    (fun () -> f out)
+
+(* The configs of the CLI commands
+     campaign --ks 4,6 --per-k 2 --with-lprr --lprr-max-k 5 --no-timings
+     resilience --rates 0.05,0.1 --per-rate 1 --no-timings
+     dynamic --platforms 1 --jobs 6 --fault-rate 0.05 --no-timings
+   with the manifest bytes earlier builds wrote for them: changing these
+   bytes would strand every log already on disk. *)
+let resilience_golden_config =
+  { E.Resilience.default_config with
+    E.Resilience.rates = [ 0.05; 0.1 ]; per_rate = 1; measure_time = false }
+
+let dynamic_golden_config =
+  { E.Dynexp.default_config with
+    E.Dynexp.platforms = 1; jobs = 6; fault_rate = 0.05; measure_time = false }
+
+let manifest_goldens =
+  [ ( "campaign",
+      (fun ~resume ~out ->
+        C.run ~resume ~out
+          { C.seed = 12; ks = [ 4; 6 ]; per_k = 2; with_lprr = true;
+            lprr_max_k = Some 5; measure_time = false }),
+      {|{"version":1,"seed":12,"ks":[4,6],"per_k":2,"with_lprr":true,"lprr_max_k":5,"measure_time":false,"total":4,"completed":4}|}
+    );
+    ( "resilience",
+      (fun ~resume ~out ->
+        E.Resilience.run ~resume ~out resilience_golden_config),
+      {|{"version":1,"experiment":"resilience","seed":21,"k":12,"rates":[0.050000000000000003,0.10000000000000001],"per_rate":1,"periods":20,"policy":"stall","measure_time":false,"total":2,"completed":2}|}
+    );
+    ( "dynamic",
+      (fun ~resume ~out -> E.Dynexp.run ~resume ~out dynamic_golden_config),
+      {|{"version":1,"experiment":"dynamic","seed":33,"k":4,"platforms":1,"jobs":6,"rate":0.40000000000000002,"heavy":false,"swf":null,"work_scale":1,"fault_rate":0.050000000000000003,"policies":["lp-repair","fcfs","easy"],"measure_time":false,"total":3,"completed":3}|}
+    ) ]
+
+let test_manifest_golden (name, run, golden) () =
+  with_log @@ fun out ->
+  let mpath = Dls_util.Wal.manifest_path out in
+  (match run ~resume:false ~out with
+  | Error msg -> Alcotest.failf "%s run: %s" name msg
+  | Ok _ -> ());
+  Alcotest.(check string) (name ^ " manifest bytes") (golden ^ "\n")
+    (read_file mpath);
+  (* A manifest written by an earlier build resumes. *)
+  Out_channel.with_open_bin mpath (fun oc ->
+      Out_channel.output_string oc (golden ^ "\n"));
+  match run ~resume:true ~out with
+  | Error msg -> Alcotest.failf "%s resume: %s" name msg
+  | Ok s -> Alcotest.(check int) "nothing re-evaluated" 0 s.E.Engine.s_evaluated
+
+let test_resume_refuses_other_experiment () =
+  with_log @@ fun out ->
+  (match E.Resilience.run ~out resilience_golden_config with
+  | Error msg -> Alcotest.failf "resilience run: %s" msg
+  | Ok _ -> ());
+  match E.Dynexp.run ~resume:true ~out dynamic_golden_config with
+  | Ok _ -> Alcotest.fail "a resilience log resumed as a dynamic run"
+  | Error msg ->
+    Alcotest.(check bool)
+      ("names the manifest, the experiment and the field: " ^ msg)
+      true
+      (contains (Dls_util.Wal.manifest_path out) msg
+      && contains "different dynamic config" msg
+      && contains {|field "experiment"|} msg)
 
 (* --- Golden outputs ------------------------------------------------ *)
 
@@ -582,7 +668,15 @@ let () =
       ( "campaign-codec-prop",
         List.map QCheck_alcotest.to_alcotest
           [ prop_entry_roundtrip; prop_entry_rejects_torn;
-            prop_manifest_roundtrip; prop_manifest_rejects_torn ] );
+            prop_resume_identity ] );
+      ( "manifest",
+        List.map
+          (fun ((name, _, _) as g) ->
+            Alcotest.test_case (name ^ " golden bytes resume") `Quick
+              (test_manifest_golden g))
+          manifest_goldens
+        @ [ Alcotest.test_case "other experiment refused" `Quick
+              test_resume_refuses_other_experiment ] );
       ( "golden",
         [ Alcotest.test_case "table1 pp" `Quick test_golden_table1_pp;
           Alcotest.test_case "table1 csv" `Quick test_golden_table1_csv;

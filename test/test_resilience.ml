@@ -49,6 +49,19 @@ let test_faults_validation () =
            [ { Faults.time = 0.5;
                kind = Faults.Link_degrade { link = 0; factor = 1.5 } } ]))
 
+let test_faults_rejects_non_finite_rates () =
+  let p = line3_platform () in
+  List.iter
+    (fun (name, link_rate, cluster_rate) ->
+      match Faults.random ~seed:1 ~horizon:10.0 ~link_rate ~cluster_rate p with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" name)
+    [ ("infinite link rate", infinity, 0.0);
+      ("NaN link rate", Float.nan, 0.0);
+      ("infinite cluster rate", 0.0, infinity);
+      ("NaN cluster rate", 0.0, Float.nan);
+      ("negative link rate", -1.0, 0.0) ]
+
 let test_faults_zero_rates_empty () =
   let p = line3_platform () in
   let plan = Faults.random ~seed:3 ~horizon:10.0 p in
@@ -385,6 +398,57 @@ let test_resilience_resume_replays () =
           (E.Resilience.total tiny_config)
           s.E.Engine.s_replayed)
 
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Every identity field is checked on resume: changing any one of them
+   is refused, naming the manifest, the experiment and the field. *)
+let test_resilience_resume_rejects_mismatch () =
+  let out = Filename.temp_file "dls_resilience" ".jsonl" in
+  let mpath = Dls_util.Wal.manifest_path out in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ out; mpath ])
+    (fun () ->
+      (match E.Resilience.run ~out tiny_config with
+      | Error msg -> Alcotest.failf "fresh run: %s" msg
+      | Ok _ -> ());
+      List.iter
+        (fun (field, config) ->
+          match E.Resilience.run ~resume:true ~out config with
+          | Ok _ -> Alcotest.failf "resume accepted a different %s" field
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s refusal names it: %s" field msg)
+              true
+              (contains mpath msg
+              && contains "different resilience config" msg
+              && contains (Printf.sprintf "field %S" field) msg))
+        E.Resilience.
+          [ ("seed", { tiny_config with seed = 6 });
+            ("k", { tiny_config with k = 7 });
+            ("rates", { tiny_config with rates = [ 0.05; 0.3 ] });
+            ("per_rate", { tiny_config with per_rate = 1 });
+            ("periods", { tiny_config with periods = 9 });
+            ("policy", { tiny_config with policy = Faults.Kill });
+            ("measure_time", { tiny_config with measure_time = true }) ])
+
+let test_resilience_rejects_non_finite_rates () =
+  List.iter
+    (fun rate ->
+      match
+        E.Resilience.run { tiny_config with E.Resilience.rates = [ 0.1; rate ] }
+      with
+      | Ok _ -> Alcotest.failf "rate %g accepted" rate
+      | Error msg ->
+        Alcotest.(check bool) ("stated error: " ^ msg) true
+          (contains "rates must be finite" msg))
+    [ infinity; Float.nan; -0.5 ]
+
 let test_resilience_determinism_across_domains () =
   (* measure_time = false makes entries byte-reproducible; the per-index
      PRNG streams make them domain-count independent. *)
@@ -402,6 +466,8 @@ let () =
   Alcotest.run "dls_resilience"
     [ ( "faults",
         [ Alcotest.test_case "validation" `Quick test_faults_validation;
+          Alcotest.test_case "non-finite rates rejected" `Quick
+            test_faults_rejects_non_finite_rates;
           Alcotest.test_case "zero rates = empty" `Quick
             test_faults_zero_rates_empty;
           Alcotest.test_case "trace deterministic across domains" `Quick
@@ -431,5 +497,9 @@ let () =
             test_resilience_codec_roundtrip;
           Alcotest.test_case "collect smoke" `Quick test_resilience_collect_smoke;
           Alcotest.test_case "resume replays" `Quick test_resilience_resume_replays;
+          Alcotest.test_case "resume rejects config mismatch" `Quick
+            test_resilience_resume_rejects_mismatch;
+          Alcotest.test_case "non-finite rates rejected" `Quick
+            test_resilience_rejects_non_finite_rates;
           Alcotest.test_case "deterministic across domains" `Quick
             test_resilience_determinism_across_domains ] ) ]

@@ -370,6 +370,45 @@ let test_json_rejects_malformed () =
     (Invalid_argument "Json.to_string: non-finite number") (fun () ->
       ignore (Json.to_string (Json.Num Float.nan)))
 
+let test_json_decoders () =
+  let obj =
+    Json.Obj
+      [ ("n", Json.Num 3.0); ("s", Json.Str "x"); ("z", Json.Null);
+        ("l", Json.Arr [ Json.Num 1.0; Json.Num 2.0 ]) ]
+  in
+  let ok_int = Alcotest.(result int string) in
+  let ok_opt = Alcotest.(result (option int) string) in
+  let ok_list = Alcotest.(result (list int) string) in
+  Alcotest.check ok_int "present" (Ok 3) (Json.field "n" Json.to_int obj);
+  Alcotest.check ok_int "missing field named" (Error {|missing field "q"|})
+    (Json.field "q" Json.to_int obj);
+  Alcotest.check ok_int "conversion error passes through"
+    (Json.to_int (Json.Str "x"))
+    (Json.field "s" Json.to_int obj);
+  Alcotest.check ok_int "non-object has no fields" (Error {|missing field "n"|})
+    (Json.field "n" Json.to_int (Json.Num 1.0));
+  Alcotest.check ok_opt "opt present" (Ok (Some 3))
+    (Json.opt_field "n" Json.to_int obj);
+  Alcotest.check ok_opt "opt null" (Ok None) (Json.opt_field "z" Json.to_int obj);
+  Alcotest.check ok_opt "opt missing" (Ok None)
+    (Json.opt_field "q" Json.to_int obj);
+  Alcotest.(check bool) "opt wrong type" true
+    (Result.is_error (Json.opt_field "s" Json.to_int obj));
+  Alcotest.check ok_list "list in order" (Ok [ 1; 2 ])
+    (Json.field "l" (Json.list Json.to_int) obj);
+  Alcotest.check ok_list "empty list" (Ok []) (Json.list Json.to_int (Json.Arr []));
+  let first_bad =
+    Json.list
+      (function
+        | Json.Num v -> Ok (int_of_float v)
+        | Json.Str s -> Error ("bad " ^ s)
+        | _ -> Error "other")
+      (Json.Arr [ Json.Num 1.0; Json.Str "a"; Json.Null; Json.Str "b" ])
+  in
+  Alcotest.check ok_list "first failing item wins" (Error "bad a") first_bad;
+  Alcotest.(check bool) "non-array is an error" true
+    (Result.is_error (Json.list Json.to_int obj))
+
 let test_json_number_roundtrip () =
   List.iter
     (fun v ->
@@ -522,6 +561,66 @@ let test_wal_write_atomic () =
   in
   Alcotest.(check (list string)) "no temp files left" [] stragglers
 
+module Wal = Dls_util.Wal
+
+let identity =
+  [ ("version", Json.Num 1.0); ("seed", Json.Num 12.0);
+    ("ks", Json.Arr [ Json.Num 4.0; Json.Num 6.0 ]); ("swf", Json.Null) ]
+
+let with_manifest f =
+  let path = wal_tmp () in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () -> f path
+
+let test_wal_manifest_identity () =
+  with_manifest @@ fun path ->
+  let check = Wal.check_manifest ~path ~what:"test config" in
+  Alcotest.(check (result unit string)) "absent manifest" (Ok ()) (check identity);
+  Wal.write_manifest ~path (identity @ [ ("completed", Json.Num 3.0) ]);
+  Alcotest.(check string) "one object line, identity then progress"
+    ({|{"version":1,"seed":12,"ks":[4,6],"swf":null,"completed":3}|} ^ "\n")
+    (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check (result unit string)) "same identity" (Ok ()) (check identity);
+  List.iter
+    (fun (name, _) ->
+      let changed =
+        List.map
+          (fun (n, v) -> if n = name then (n, Json.Str "changed") else (n, v))
+          identity
+      in
+      Alcotest.(check (result unit string))
+        (name ^ " differs")
+        (Error
+           (Printf.sprintf
+              "%s: belongs to a different test config (field %S differs); \
+               refusing to resume"
+              path name))
+        (check changed))
+    identity;
+  Alcotest.(check (result unit string)) "field missing from the manifest"
+    (Error
+       (Printf.sprintf
+          "%s: belongs to a different test config (field \"extra\" differs); \
+           refusing to resume"
+          path))
+    (check (identity @ [ ("extra", Json.Bool true) ]))
+
+let test_wal_manifest_torn () =
+  with_manifest @@ fun path ->
+  Wal.write_manifest ~path identity;
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun cut ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.sub full 0 cut));
+      match Wal.check_manifest ~path ~what:"test config" identity with
+      | Ok () -> Alcotest.failf "torn manifest of %d bytes accepted" cut
+      | Error msg ->
+        Alcotest.(check bool) ("names the manifest: " ^ msg) true
+          (String.length msg > String.length path
+          && String.sub msg 0 (String.length path) = path))
+    [ 0; 1; String.length full / 2; String.length full - 2 ]
+
 let () =
   Alcotest.run "dls_util"
     [ ( "prng",
@@ -571,11 +670,15 @@ let () =
           Alcotest.test_case "torn tail dropped" `Quick test_wal_torn_tail_dropped;
           Alcotest.test_case "corrupt middle is an error" `Quick
             test_wal_corrupt_middle_is_error;
-          Alcotest.test_case "write_atomic" `Quick test_wal_write_atomic ] );
+          Alcotest.test_case "write_atomic" `Quick test_wal_write_atomic;
+          Alcotest.test_case "manifest identity" `Quick test_wal_manifest_identity;
+          Alcotest.test_case "torn manifest is an error" `Quick
+            test_wal_manifest_torn ] );
       ( "json",
         [ Alcotest.test_case "basics" `Quick test_json_basics;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects_malformed;
-          Alcotest.test_case "number roundtrip" `Quick test_json_number_roundtrip ] );
+          Alcotest.test_case "number roundtrip" `Quick test_json_number_roundtrip;
+          Alcotest.test_case "field, opt_field, list" `Quick test_json_decoders ] );
       qsuite "stats-prop"
         [ prop_median_between_min_max; prop_stddev_nonneg; prop_parallel_equals_map ];
       qsuite "chunked-json-prop"
